@@ -7,96 +7,4 @@ numerical verification suites for the distributional guarantees that
 justify the method in proportional high dimensions.
 """
 
-from .designs import (
-    CovarianceModel,
-    NoiseSpec,
-    estimate_decay,
-    generate_dataset,
-    make_beta,
-    make_covariance,
-    sample_design,
-    sample_noise,
-)
-from .errors import (
-    ConfigError,
-    DegenerateContrastError,
-    DegenerateDataError,
-    InputError,
-    InsufficientDataError,
-    MomentConditionError,
-    RidgebootError,
-    SingularSystemError,
-    UnestimableVarianceError,
-)
-from .harness import (
-    ExperimentConfig,
-    MethodResult,
-    Table1Result,
-    preset_config,
-    read_config,
-    run_check_suite,
-    run_table1,
-    seed_split,
-    write_config,
-    write_report,
-    write_results,
-)
-from .linmodel import (
-    ContrastDiagnostics,
-    Dataset,
-    DesignFactorization,
-    RidgeFit,
-    bias_vector,
-    contrast_bias_sq,
-    contrast_diagnostics,
-    contrast_variance,
-    leverage_scores,
-    mspe_exact,
-    ols_fit,
-    read_matrix_csv,
-    read_vector_csv,
-    ridge_fit,
-    theta_rule,
-    write_matrix_csv,
-)
-from .mallows import (
-    EmpiricalDistribution,
-    center_residuals,
-    d2_empirical,
-    d2_to_reference,
-)
-from .resampling import (
-    BootstrapDraws,
-    ConfidenceInterval,
-    ci_normal,
-    ci_ols_rb,
-    ci_oracle,
-    ci_ridge_rb,
-    ols_sigma_sq_hat,
-    oracle_error_draws,
-    quantile,
-    rb_contrast_draws,
-)
-from .theory import (
-    CheckReport,
-    RateEstimate,
-    check_design_events,
-    check_mspe_link,
-    check_theorem1,
-    check_theorem4,
-    lm_tail_check,
-    rate_d2_empirical,
-    rate_mspe,
-    signed_svd,
-    wishart_square,
-)
-from .tuning import (
-    PenaltyPlan,
-    cv_select,
-    default_grid,
-    exponent_to_penalty,
-    penalty_pair,
-    plan_to_csv,
-)
-
 __version__ = "0.1.0"

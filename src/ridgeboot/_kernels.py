@@ -1,29 +1,22 @@
-"""Hot numerical kernels with a numba backend and a pure-numpy fallback.
-
-The backend is chosen once at import time from the environment variable
-``RIDGEBOOT_BACKEND``: "numba" or "numpy" force a backend, anything else
-(including unset) means "auto" (numba when importable, else numpy).  Both
-implementations consume identical pre-drawn inputs, so the backends agree
-to floating-point summation order.
-"""
+"""The two hot numerical kernels: the W2 distance and bootstrap contrast draws."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import jit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-_FLAG = os.environ.get("RIDGEBOOT_BACKEND", "auto").strip().lower()
+def active_backend() -> str:
+    """Name of the kernel implementation; the kernels are plain numpy."""
+    return "numpy"
 
 
-def _numpy_w2sq_sorted(x: np.ndarray, y: np.ndarray) -> float:
+def w2sq_sorted(x: np.ndarray, y: np.ndarray) -> float:
+    """Squared Wasserstein-2 distance between uniform empiricals with sorted atoms.
+
+    Integrates the squared quantile-function difference over the merged
+    probability grid; exact up to floating-point summation.  Inputs must be
+    1-D, sorted nondecreasing, and nonempty (enforced by callers).
+    """
     # Quantile functions are step functions with jumps at i/m and j/k; walking
     # the merged grid in integer positions (units of 1/(m*k)) avoids float
     # comparisons of i/m against j/k.
@@ -38,83 +31,9 @@ def _numpy_w2sq_sorted(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(widths * (d * d)) / (np.int64(m) * np.int64(k)))
 
 
-def _numpy_contrast_draws(atoms: np.ndarray, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return atoms[idx] @ weights
-
-
-if HAS_NUMBA:
-
-    @jit(nopython=True, cache=True, nogil=True)
-    def _numba_w2sq_sorted(x, y):  # pragma: no cover - measured via dispatch tests
-        m = x.shape[0]
-        k = y.shape[0]
-        L = np.int64(m) * np.int64(k)
-        i = 0
-        j = 0
-        pos = np.int64(0)
-        total = 0.0
-        while i < m and j < k:
-            nx = np.int64(i + 1) * np.int64(k)
-            ny = np.int64(j + 1) * np.int64(m)
-            nxt = nx if nx <= ny else ny
-            d = x[i] - y[j]
-            total += (nxt - pos) * d * d
-            pos = nxt
-            if nxt == nx:
-                i += 1
-            if nxt == ny:
-                j += 1
-        return total / L
-
-    @jit(nopython=True, cache=True, nogil=True)
-    def _numba_contrast_draws(atoms, weights, idx):  # pragma: no cover
-        B, n = idx.shape
-        out = np.empty(B)
-        for b in range(B):
-            acc = 0.0
-            for i in range(n):
-                acc += weights[i] * atoms[idx[b, i]]
-            out[b] = acc
-        return out
-
-
-def _resolve_backend() -> str:
-    if _FLAG == "numpy":
-        return "numpy"
-    if _FLAG == "numba" and HAS_NUMBA:
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend()
-
-if _BACKEND == "numba":
-    _w2sq_impl = _numba_w2sq_sorted
-    _draws_impl = _numba_contrast_draws
-else:
-    _w2sq_impl = _numpy_w2sq_sorted
-    _draws_impl = _numpy_contrast_draws
-
-
-def active_backend() -> str:
-    """Name of the backend selected at import time ("numba" or "numpy")."""
-    return _BACKEND
-
-
-def w2sq_sorted(x: np.ndarray, y: np.ndarray) -> float:
-    """Squared Wasserstein-2 distance between uniform empiricals with sorted atoms.
-
-    Integrates the squared quantile-function difference over the merged
-    probability grid; exact up to floating-point summation.  Inputs must be
-    1-D, sorted nondecreasing, and nonempty (enforced by callers).
-    """
-    return float(_w2sq_impl(x, y))
-
-
 def contrast_draws(atoms: np.ndarray, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Bootstrap contrast values z_b = sum_i weights[i] * atoms[idx[b, i]].
 
-    ``idx`` is a (B, n) int64 matrix of atom indices drawn by the caller, so
-    the random stream is backend-independent.
+    ``idx`` is a (B, n) int64 matrix of atom indices drawn by the caller.
     """
-    return np.asarray(_draws_impl(atoms, weights, idx), dtype=np.float64)
+    return np.asarray(atoms[idx] @ weights, dtype=np.float64)

@@ -18,9 +18,12 @@ import numpy as np
 from .errors import ConfigError, InputError, RidgebootError
 from .harness import (
     CHECK_SUITES,
+    FIELD_TYPES,
+    REQUIRED_FIELDS,
     ExperimentConfig,
     preset_config,
     read_config,
+    read_key_values,
     run_check_suite,
     run_table1,
     seed_split,
@@ -30,27 +33,6 @@ from .harness import (
 from .linmodel import Dataset, DesignFactorization, read_matrix_csv, read_vector_csv
 from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb
 from .tuning import cv_select
-
-_FIELD_FLAGS = (
-    ("n", int),
-    ("p", int),
-    ("eta", float),
-    ("N1", int),
-    ("N2", int),
-    ("B", int),
-    ("level", float),
-    ("sigma", float),
-    ("noise_family", str),
-    ("noise_dof", float),
-    ("grid_size", int),
-    ("grid_min_factor", float),
-    ("grid_max_factor", float),
-    ("folds", int),
-    ("pilot_prefactor", float),
-    ("inference_prefactor", float),
-)
-
-_EXTRA_FIELDS = ("cv_per_design",)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,10 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("setting1", "setting2", "setting3", "setting4"))
     sim.add_argument("--scale", default="desk", choices=("desk", "full"))
     sim.add_argument("--out", required=True, help="results CSV path")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--threads", type=int, default=None)
-    for name, kind in _FIELD_FLAGS:
-        sim.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
+    for name, kind in FIELD_TYPES.items():
+        if name != "cv_per_design":
+            sim.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
     sim.add_argument("--cv-per-design", dest="cv_per_design", action="store_const",
                      const=1, default=None,
                      help="tune penalties once per design instead of per response")
@@ -151,11 +132,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
-    overrides = {}
-    for name in [name for name, _ in _FIELD_FLAGS] + list(_EXTRA_FIELDS):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    overrides = {k: v for k, v in vars(args).items() if k in FIELD_TYPES and v is not None}
 
     if args.config:
         config = read_config(args.config)
@@ -164,8 +141,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = preset_config(args.preset, scale=args.scale)
         label = args.preset
     else:
-        required = {"n", "p", "eta", "N1", "N2", "B"}
-        missing = sorted(required - set(overrides))
+        missing = sorted(set(REQUIRED_FIELDS) - set(overrides))
         if missing:
             raise ConfigError(
                 f"without --config or --preset, flags are required for: {', '.join(missing)}"
@@ -175,10 +151,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         label = "custom"
     if overrides:
         config = replace(config, **overrides)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
 
     result = run_table1(config)
     write_results([(label, result)], args.out)
@@ -189,32 +161,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_overrides(path: str) -> dict:
-    overrides: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in overrides:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            try:
-                overrides[key] = int(value)
-            except ValueError:
-                try:
-                    overrides[key] = float(value)
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: bad value {value!r}") from exc
-    return overrides
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    overrides = _read_overrides(args.config) if args.config else None
+    overrides = read_key_values(args.config) if args.config else None
     rows = run_check_suite(args.suite, args.seed, overrides)
     write_report(rows, args.out)
     failing = sum(1 for row in rows if not row["holds"])

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from . import _kernels
 from .designs import NoiseSpec, make_beta, make_covariance, sample_design, sample_noise
 from .errors import ConfigError, DegenerateDataError, RidgebootError
 from .linmodel import Dataset, DesignFactorization, theta_rule
-from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb, quantile
+from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb, pivot_interval
 from .theory import (
     check_design_events,
     check_mspe_link,
@@ -33,16 +32,19 @@ from .theory import (
     signed_svd,
     wishart_square,
 )
-from .tuning import cv_select
+from .tuning import cv_select, default_grid
 
 __all__ = [
     "ExperimentConfig",
+    "FIELD_TYPES",
+    "REQUIRED_FIELDS",
     "MethodResult",
     "Table1Result",
     "METHODS",
     "seed_split",
     "run_table1",
     "read_config",
+    "read_key_values",
     "write_config",
     "write_results",
     "preset_config",
@@ -103,8 +105,6 @@ class ExperimentConfig:
     grid_min_factor: float = 1e-4
     grid_max_factor: float = 1e2
     folds: int = 5
-    pilot_prefactor: float = 5.0
-    inference_prefactor: float = 0.1
     cv_per_design: int = 0
     seed: int = 0
     threads: int = 1
@@ -122,7 +122,7 @@ class ExperimentConfig:
             raise ConfigError("sigma must be positive")
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ConfigError("eta must be a nonnegative real")
-        for name in ("grid_min_factor", "grid_max_factor", "pilot_prefactor", "inference_prefactor"):
+        for name in ("grid_min_factor", "grid_max_factor"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive")
@@ -140,12 +140,11 @@ class ExperimentConfig:
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(family=self.noise_family, sigma=self.sigma, dof=self.noise_dof)
 
-    def grid(self) -> np.ndarray:
-        if self.grid_size == 1:
-            return np.array([self.grid_min_factor * self.n])
-        return np.geomspace(
-            self.grid_min_factor * self.n, self.grid_max_factor * self.n, self.grid_size
-        )
+
+# The type of every config field, read from its annotation: config files,
+# write_config and the simulate flags all convert through this one table.
+FIELD_TYPES = get_type_hints(ExperimentConfig)
+REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -185,9 +184,7 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
     """All N2 responses for one design; returns raw counts for the reducer."""
     gen = np.random.default_rng(seed_split(config.seed, (design_index,)))
     noise = config.noise_spec()
-    grid = config.grid()
-    a_lo = (1.0 - config.level) / 2.0
-    a_hi = (1.0 + config.level) / 2.0
+    grid = default_grid(config.n, config.grid_size, config.grid_min_factor, config.grid_max_factor)
 
     cov = make_covariance(config.p, config.eta, gen)
     X = sample_design(config.n, cov, gen)
@@ -209,8 +206,7 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
         try:
             if plan is None or not config.cv_per_design:
                 plan = cv_select(data, grid=grid, folds=config.folds, rng=gen)
-            varrho = config.pilot_prefactor * plan.r_hat
-            rho = config.inference_prefactor * plan.r_hat
+            rho, varrho = plan.inference_rho, plan.pilot_rho
             point = float(fact.contrast_weights(c, rho) @ data.Y)
             ridge = ci_ridge_rb(data, c, rho, varrho, config.B, config.level, gen, fact=fact)
             normal = ci_normal(data, c, rho, config.level, fact=fact)
@@ -223,14 +219,15 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
             width_sum[tag] += ci.width
         errors.append(point - target)
 
-    # The infeasible benchmark: quantiles of the realized error pool of
-    # this design, shared by all its instances.
+    # The infeasible benchmark: the quantile pivot on the realized error
+    # pool of this design, shared by all its instances.  Anchored at 0 it
+    # is [-q_hi, -q_lo], the offset of every instance's interval from its
+    # own point, so an instance covers the target iff -error lies inside.
     if errors:
-        pool = np.sort(np.asarray(errors))
-        q_lo = quantile(pool, a_lo)
-        q_hi = quantile(pool, a_hi)
-        cover["oracle"] = int(np.sum((pool >= q_lo) & (pool <= q_hi)))
-        width_sum["oracle"] = (q_hi - q_lo) * pool.size
+        pool = np.asarray(errors)
+        oracle = pivot_interval("oracle", pool, 0.0, config.level)
+        cover["oracle"] = int(np.sum((-pool >= oracle.lower) & (-pool <= oracle.upper)))
+        width_sum["oracle"] = oracle.width * pool.size
     return {
         "cover": cover,
         "width_sum": width_sum,
@@ -247,10 +244,6 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
     for any thread count.  Responses that fail numerically are skipped
     and counted; an experiment where every response fails raises.
     """
-    # Touch both kernels once so compilation never races across threads.
-    _kernels.contrast_draws(np.zeros(2), np.zeros(2), np.zeros((1, 2), dtype=np.int64))
-    _kernels.w2sq_sorted(np.zeros(2), np.zeros(3))
-
     indices = range(config.N1)
     if config.threads == 1:
         partials = [_design_trial(config, d) for d in indices]
@@ -283,30 +276,24 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
     return Table1Result(methods=methods, skips=skips, seed=config.seed)
 
 
-_INT_FIELDS = {"n", "p", "N1", "N2", "B", "grid_size", "folds", "cv_per_design", "seed", "threads"}
-_STR_FIELDS = {"noise_family"}
-
-
 def write_config(config: ExperimentConfig, path: str) -> None:
     """Write a flat key = value file with every config field."""
     with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(ExperimentConfig):
-            value = getattr(config, f.name)
-            if f.name in _INT_FIELDS:
-                fh.write(f"{f.name} = {int(value)}\n")
-            elif f.name in _STR_FIELDS:
-                fh.write(f"{f.name} = {value}\n")
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(config, name)
+            if kind is float:
+                fh.write(f"{name} = {float(value):.17g}\n")
             else:
-                fh.write(f"{f.name} = {float(value):.17g}\n")
+                fh.write(f"{name} = {kind(value)}\n")
 
 
-def read_config(path: str) -> ExperimentConfig:
-    """Parse a flat key = value config file.
+def read_key_values(path: str) -> dict:
+    """Raw string values of a flat key = value file.
 
-    Unknown keys are errors rather than silently ignored, so a
-    misspelled knob cannot fall back to a default.
+    Blank lines and lines starting with # are skipped; a line without
+    '=' or a repeated key is an error.  ``read_config`` and the check
+    suites' override files both read through here.
     """
-    known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -317,22 +304,37 @@ def read_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
             if key in values:
-                raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-            try:
-                if key in _INT_FIELDS:
-                    values[key] = int(value)
-                elif key in _STR_FIELDS:
-                    values[key] = value
-                else:
-                    values[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-    required = {"n", "p", "eta", "N1", "N2", "B"}
-    missing = sorted(required - set(values))
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            values[key] = value.strip()
+    return values
+
+
+def _typed(values: Mapping, kinds: Mapping, what: str) -> dict:
+    """``values`` converted to ``kinds[key]``.
+
+    Unknown keys are errors rather than silently ignored, so a misspelled
+    knob cannot fall back to a default.  An integer field takes only an
+    integer or an integer literal: 1.7 is an error, never truncated to 1.
+    """
+    out = {}
+    for key, value in values.items():
+        if key not in kinds:
+            raise ConfigError(f"unknown {what} {key!r}; valid: {sorted(kinds)}")
+        kind = kinds[key]
+        try:
+            if kind is int and isinstance(value, float):
+                raise ValueError(value)
+            out[key] = kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+    return out
+
+
+def read_config(path: str) -> ExperimentConfig:
+    """Parse a flat key = value config file with the ExperimentConfig fields."""
+    values = _typed(read_key_values(path), FIELD_TYPES, "config key")
+    missing = sorted(set(REQUIRED_FIELDS) - set(values))
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
     return ExperimentConfig(**values)
@@ -489,14 +491,8 @@ def _setting_case(index: int, seed: int = 1):
 
 
 def _merge_overrides(defaults: dict, overrides: Optional[Mapping]) -> dict:
-    merged = dict(defaults)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in defaults:
-                raise ConfigError(f"unknown override {key!r}; valid: {sorted(defaults)}")
-            kind = type(defaults[key])
-            merged[key] = kind(value)
-    return merged
+    kinds = {key: type(value) for key, value in defaults.items()}
+    return {**defaults, **_typed(overrides or {}, kinds, "override")}
 
 
 def _suite_theorem1(seed: int, overrides: Optional[Mapping]) -> list:

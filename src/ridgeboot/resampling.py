@@ -1,5 +1,6 @@
-"""Two-stage residual bootstrap engine and the four confidence-interval
-constructions of the simulation study.
+"""Two-stage residual bootstrap engine, the three feasible confidence-interval
+constructions of the simulation study, and the quantile pivot that the
+bootstrap intervals share with the oracle.
 
 The two-stage scheme: a pilot ridge fit at penalty pilot_rho produces
 residuals whose centered empirical law stands in for the noise distribution;
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
@@ -23,26 +23,6 @@ from .mallows import center_residuals
 
 # Index-draw chunk bound keeps the (chunk, n) scratch matrix around 32 MB.
 _CHUNK_CELLS = 4_000_000
-
-RhoProvider = Callable[[np.ndarray, np.ndarray, np.random.Generator], float]
-NoiseSampler = Callable[[np.random.Generator, int], np.ndarray]
-
-
-@dataclass(frozen=True)
-class BootstrapDraws:
-    """The B bootstrap contrast values z_j with their generating parameters."""
-
-    values: np.ndarray
-    B: int
-    contrast: np.ndarray
-    rho: float
-    pilot_rho: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.B,):
-            raise InputError("values length must equal B")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -93,12 +73,13 @@ def rb_contrast_draws(
     B: int,
     rng: np.random.Generator,
     fact: DesignFactorization | None = None,
-) -> BootstrapDraws:
+) -> np.ndarray:
     """Steps 1-3 of the residual bootstrap: pilot fit, center, push B draws.
 
     The pilot fit runs at pilot_rho; each replicate draws n i.i.d. atoms from
     the centered residual law and maps them through the inference-penalty row
-    vector a = c^T (X^T X + rho I)^{-1} X^T (computed once).
+    vector a = c^T (X^T X + rho I)^{-1} X^T (computed once).  Returns the B
+    contrast values z_j.
     """
     if not (isinstance(B, (int, np.integer)) and B >= 1):
         raise InputError("B must be a positive integer")
@@ -112,14 +93,7 @@ def rb_contrast_draws(
         raise DegenerateContrastError("contrast has zero variance at this penalty")
     pilot = ridge_fit(data, float(pilot_rho), fact=fact)
     atoms = center_residuals(pilot.residuals).atoms
-    values = _draw_contrast_values(atoms, weights, int(B), rng)
-    return BootstrapDraws(
-        values=values,
-        B=int(B),
-        contrast=c,
-        rho=float(rho),
-        pilot_rho=float(pilot_rho),
-    )
+    return _draw_contrast_values(atoms, weights, int(B), rng)
 
 
 def quantile(values: np.ndarray, alpha: float) -> float:
@@ -140,6 +114,22 @@ def quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
+def pivot_interval(
+    method: str, draws: np.ndarray, point: float, level: float
+) -> ConfidenceInterval:
+    """Quantile pivot [point - q_hi, point - q_lo] from draws of the error law.
+
+    q_lo and q_hi are the (1 - level)/2 and (1 + level)/2 quantiles of the
+    draws: bootstrap contrasts for the resampling intervals, or realized
+    contrast errors for the oracle.
+    """
+    q_hi = quantile(draws, (1.0 + level) / 2.0)
+    q_lo = quantile(draws, (1.0 - level) / 2.0)
+    return ConfidenceInterval(
+        method=method, level=float(level), lower=point - q_hi, upper=point - q_lo
+    )
+
+
 def ci_ridge_rb(
     data: Dataset,
     c: np.ndarray,
@@ -157,11 +147,7 @@ def ci_ridge_rb(
         fact = DesignFactorization(data.X)
     draws = rb_contrast_draws(data, c, rho, pilot_rho, B, rng, fact=fact)
     point = float(fact.contrast_weights(np.asarray(c, dtype=np.float64), float(rho)) @ data.Y)
-    q_hi = quantile(draws.values, (1.0 + level) / 2.0)
-    q_lo = quantile(draws.values, (1.0 - level) / 2.0)
-    return ConfidenceInterval(
-        method="ridge_rb", level=float(level), lower=point - q_hi, upper=point - q_lo
-    )
+    return pivot_interval("ridge_rb", draws, point, level)
 
 
 def ols_sigma_sq_hat(data: Dataset, fact: DesignFactorization | None = None) -> float:
@@ -218,76 +204,4 @@ def ci_ols_rb(
         fact = DesignFactorization(data.X)
     draws = rb_contrast_draws(data, c, 0.0, 0.0, B, rng, fact=fact)
     point = float(fact.contrast_weights(np.asarray(c, dtype=np.float64), 0.0) @ data.Y)
-    q_hi = quantile(draws.values, (1.0 + level) / 2.0)
-    q_lo = quantile(draws.values, (1.0 - level) / 2.0)
-    return ConfidenceInterval(
-        method="ols_rb", level=float(level), lower=point - q_hi, upper=point - q_lo
-    )
-
-
-def oracle_error_draws(
-    X: np.ndarray,
-    beta: np.ndarray,
-    noise_sampler: NoiseSampler,
-    rho_provider: RhoProvider,
-    c: np.ndarray,
-    N2: int,
-    rng: np.random.Generator,
-    fact: DesignFactorization | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contrast errors e_k = c^T (b_rho_k - beta) over N2 fresh responses.
-
-    Each realization re-selects its own inference penalty through rho_provider
-    (which may run CV), so the returned error pool reflects that randomness.
-    Returns (errors, points) with points the per-realization c^T b_rho_k.
-    """
-    if not (isinstance(N2, (int, np.integer)) and N2 >= 1):
-        raise InputError("N2 must be a positive integer")
-    if fact is None:
-        fact = DesignFactorization(X)
-    beta = np.asarray(beta, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if beta.shape != (fact.p,) or c.shape != (fact.p,):
-        raise InputError("beta and c must be length-p vectors")
-    target = float(c @ beta)
-    errors = np.empty(int(N2))
-    points = np.empty(int(N2))
-    for k in range(int(N2)):
-        eps = np.asarray(noise_sampler(rng, fact.n), dtype=np.float64)
-        Y = fact.X @ beta + eps
-        rho = float(rho_provider(fact.X, Y, rng))
-        point = float(fact.contrast_weights(c, rho) @ Y)
-        points[k] = point
-        errors[k] = point - target
-    return errors, points
-
-
-def ci_oracle(
-    X: np.ndarray,
-    beta: np.ndarray,
-    noise_sampler: NoiseSampler,
-    rho_provider: RhoProvider,
-    c: np.ndarray,
-    N2: int,
-    level: float,
-    rng: np.random.Generator,
-    point: float | None = None,
-    fact: DesignFactorization | None = None,
-) -> ConfidenceInterval:
-    """Infeasible benchmark interval from the true error quantiles.
-
-    The quantile pool comes from N2 fresh responses; the interval is anchored
-    at `point` (a c^T b_rho estimate) when given, else at the first drawn
-    realization's own point estimate.
-    """
-    if not (0.0 < level < 1.0):
-        raise InputError("level must lie in (0,1)")
-    errors, points = oracle_error_draws(
-        X, beta, noise_sampler, rho_provider, c, N2, rng, fact=fact
-    )
-    anchor = float(points[0]) if point is None else float(point)
-    q_hi = quantile(errors, (1.0 + level) / 2.0)
-    q_lo = quantile(errors, (1.0 - level) / 2.0)
-    return ConfidenceInterval(
-        method="oracle", level=float(level), lower=anchor - q_hi, upper=anchor - q_lo
-    )
+    return pivot_interval("ols_rb", draws, point, level)

@@ -124,12 +124,6 @@ def _as_grid(n: Union[int, Sequence[int]]) -> tuple:
     return grid
 
 
-def _noise_or_default(noise: Optional[NoiseSpec], sigma: float = 1.0) -> NoiseSpec:
-    if noise is not None:
-        return noise
-    return NoiseSpec(family="scaled_t", sigma=sigma, dof=5.0)
-
-
 def _sorted_draw(sampler: Callable, rng: np.random.Generator, size: int) -> np.ndarray:
     values = np.asarray(sampler(rng, size), dtype=np.float64)
     values.sort()
@@ -585,7 +579,8 @@ def check_theorem4(
         raise InputError("trend check needs at least two sample sizes")
     if design_trials < 1 or noise_reps < 2:
         raise InputError("need at least one design and two noise draws")
-    noise = _noise_or_default(noise, sigma=0.1)
+    if noise is None:
+        noise = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
     if noise.sigma <= 0:
         raise InputError("noise scale must be positive for this check")
     sampler = noise.sampler()

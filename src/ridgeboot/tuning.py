@@ -45,13 +45,22 @@ class PenaltyPlan:
             raise InputError("inference_rho must equal 0.1 * r_hat")
 
 
-def default_grid(n: int, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """30 logarithmically spaced raw penalties spanning 1e-4 n .. 1e2 n."""
+def default_grid(
+    n: int,
+    size: int = DEFAULT_GRID_SIZE,
+    min_factor: float = DEFAULT_GRID_MIN_FACTOR,
+    max_factor: float = DEFAULT_GRID_MAX_FACTOR,
+) -> np.ndarray:
+    """`size` logarithmically spaced raw penalties spanning min_factor n .. max_factor n.
+
+    The defaults give 30 penalties from 1e-4 n to 1e2 n; a one-point grid
+    is min_factor n alone.
+    """
     if n < 1 or size < 1:
         raise InputError("n and size must be positive")
     if size == 1:
-        return np.array([DEFAULT_GRID_MIN_FACTOR * n])
-    return np.geomspace(DEFAULT_GRID_MIN_FACTOR * n, DEFAULT_GRID_MAX_FACTOR * n, size)
+        return np.array([min_factor * n])
+    return np.geomspace(min_factor * n, max_factor * n, size)
 
 
 def penalty_pair(r_hat: float) -> tuple[float, float]:
@@ -131,12 +140,3 @@ def cv_select(
         grid=grid,
         cv_scores=scores,
     )
-
-
-def plan_to_csv(plan: PenaltyPlan, path: str) -> None:
-    """Write the CV trace as `r,score` rows under a header comment with r_hat."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# r_hat={plan.r_hat:.17g}\n")
-        fh.write("r,score\n")
-        for r, s in zip(plan.grid, plan.cv_scores):
-            fh.write(f"{r:.17g},{s:.17g}\n")

@@ -34,3 +34,33 @@ def ridge_dense(X, Y, rho):
     X = np.asarray(X, dtype=float)
     p = X.shape[1]
     return np.linalg.solve(X.T @ X + rho * np.eye(p), X.T @ np.asarray(Y, dtype=float))
+
+
+def w2sq_merge_loop(x, y):
+    """Squared Wasserstein-2 between sorted uniform empiricals by a two-pointer
+    walk over the merged breakpoints i*k and j*m (integer units of 1/(m*k))."""
+    m, k = len(x), len(y)
+    i = j = pos = 0
+    total = 0.0
+    while i < m and j < k:
+        nx, ny = (i + 1) * k, (j + 1) * m
+        nxt = min(nx, ny)
+        d = float(x[i]) - float(y[j])
+        total += (nxt - pos) * d * d
+        pos = nxt
+        if nxt == nx:
+            i += 1
+        if nxt == ny:
+            j += 1
+    return total / (m * k)
+
+
+def contrast_draws_loop(atoms, weights, idx):
+    """Bootstrap contrasts z_b = sum_i weights[i] * atoms[idx[b, i]], one row at a time."""
+    out = np.empty(len(idx))
+    for b, row in enumerate(idx):
+        acc = 0.0
+        for i, j in enumerate(row):
+            acc += float(weights[i]) * float(atoms[j])
+        out[b] = acc
+    return out

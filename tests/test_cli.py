@@ -175,13 +175,25 @@ def test_check_suite_writes_report(tmp_path, capsys):
     assert len(lines) > 1
 
 
-def test_check_unknown_override_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bogus_knob = 1\n", "unknown override"),
+        # integer knobs take integer literals only: 1.7 is refused, not run as 1
+        ("sweep = 1.7\n", "bad value for 'sweep'"),
+        ("reps = 2.9\n", "bad value for 'reps'"),
+        ("sweep = abc\n", "bad value for 'sweep'"),
+    ],
+    ids=["unknown-key", "float-sweep", "float-reps", "word-sweep"],
+)
+def test_check_unknown_override_key(tmp_path, capsys, text, message):
     ovr = tmp_path / "knobs.cfg"
-    ovr.write_text("bogus_knob = 1\n")
-    code = main(["check", "--suite", "appendix", "--config", str(ovr),
-                 "--out", str(tmp_path / "r.csv")])
+    ovr.write_text(text)
+    out = tmp_path / "r.csv"
+    code = main(["check", "--suite", "mspe-link", "--config", str(ovr), "--out", str(out)])
     assert code == 2
-    assert "unknown override" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_rejects_unknown_suite():

@@ -27,6 +27,7 @@ from ridgeboot.harness import (
 from ridgeboot.linmodel import DesignFactorization
 from ridgeboot.resampling import quantile
 from ridgeboot.theory import RateEstimate
+from ridgeboot.tuning import default_grid, penalty_pair
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +68,7 @@ def test_config_roundtrip(tmp_path):
         n=50, p=20, eta=1.0 / 3.0, N1=4, N2=7, B=100,
         level=0.95, sigma=0.125, noise_family="normal", noise_dof=7.5,
         grid_size=12, grid_min_factor=2e-4, grid_max_factor=50.0,
-        folds=4, pilot_prefactor=3.0, inference_prefactor=0.2,
-        cv_per_design=1, seed=987654321, threads=2,
+        folds=4, cv_per_design=1, seed=987654321, threads=2,
     )
     path = tmp_path / "exp.cfg"
     write_config(cfg, str(path))
@@ -113,7 +113,7 @@ def test_config_validation():
         dict(ok, seed=1 << 64),
         dict(ok, noise_family="custom_atoms"),
         dict(ok, grid_min_factor=10.0, grid_max_factor=1.0),
-        dict(ok, pilot_prefactor=0.0),
+        dict(ok, grid_min_factor=0.0),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -236,6 +236,10 @@ def test_run_check_suite_rejects_unknowns():
         run_check_suite("bogus", 0)
     with pytest.raises(ConfigError):
         run_check_suite("appendix", 0, overrides={"bogus_knob": 1})
+    # integer knobs take integer literals only: no truncation, no bare ValueError
+    for value in ("abc", "1.7", 1.7):
+        with pytest.raises(ConfigError):
+            run_check_suite("mspe-link", 0, overrides={"sweep": value})
 
 
 def test_report_rows_schema(tmp_path):
@@ -303,7 +307,8 @@ def test_oracle_width_is_the_error_law_range():
     X = sample_design(config.n, make_covariance(config.p, config.eta, gen), gen)
     fact = DesignFactorization(X)
     c = X[int(np.argmax(fact.leverage()))]
-    a = fact.contrast_weights(c, config.inference_prefactor * config.grid()[0])
+    _, rho = penalty_pair(default_grid(config.n, config.grid_size, config.grid_min_factor)[0])
+    a = fact.contrast_weights(c, rho)
 
     # Widths of fresh N2-draw pools, with the harness's quantile rule:
     # their mean is what the oracle width estimates, their SD its error.

@@ -1,36 +1,21 @@
-"""Backend equivalence: the numba kernels and the numpy fallback must agree."""
-
-import json
-import os
-import subprocess
-import sys
+"""The numpy kernels against pure-Python loop references."""
 
 import numpy as np
 import pytest
 
-from ridgeboot import _kernels
-from ridgeboot._kernels import (
-    HAS_NUMBA,
-    _numpy_contrast_draws,
-    _numpy_w2sq_sorted,
-    active_backend,
-    contrast_draws,
-    w2sq_sorted,
-)
+from helpers import contrast_draws_loop, w2sq_merge_loop
+from ridgeboot._kernels import active_backend, contrast_draws, w2sq_sorted
 
 
 def test_active_backend_is_consistent():
-    name = active_backend()
-    assert name in ("numba", "numpy")
-    if name == "numba":
-        assert HAS_NUMBA
+    assert active_backend() == "numpy"
 
 
 def test_w2sq_hand_case_both_paths():
     x = np.array([0.0, 2.0])
     y = np.array([1.0])
     assert w2sq_sorted(x, y) == pytest.approx(1.0, abs=1e-15)
-    assert _numpy_w2sq_sorted(x, y) == pytest.approx(1.0, abs=1e-15)
+    assert w2sq_merge_loop(x, y) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_w2sq_singleton_reduces_to_mean_square():
@@ -41,30 +26,22 @@ def test_w2sq_singleton_reduces_to_mean_square():
     assert w2sq_sorted(np.array([c]), y) == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba backend not importable")
 def test_w2sq_backends_agree():
-    from ridgeboot._kernels import _numba_w2sq_sorted
-
     rng = np.random.default_rng(17)
     for m, k in ((1, 1), (1, 7), (5, 3), (64, 64), (997, 1024), (3000, 2)):
         x = np.sort(rng.standard_normal(m))
         y = np.sort(rng.standard_normal(k) * 2.0 + 0.3)
-        a = _numpy_w2sq_sorted(x, y)
-        b = float(_numba_w2sq_sorted(x, y))
-        assert b == pytest.approx(a, rel=1e-12, abs=1e-14)
+        assert w2sq_sorted(x, y) == pytest.approx(w2sq_merge_loop(x, y), rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba backend not importable")
 def test_contrast_draws_backends_agree():
-    from ridgeboot._kernels import _numba_contrast_draws
-
     rng = np.random.default_rng(19)
     for B, n, n_atoms in ((1, 1, 2), (40, 6, 6), (300, 25, 25)):
         atoms = rng.standard_normal(n_atoms)
         weights = rng.standard_normal(n)
         idx = rng.integers(0, n_atoms, size=(B, n))
-        a = _numpy_contrast_draws(atoms, weights, idx)
-        b = np.asarray(_numba_contrast_draws(atoms, weights, idx))
+        a = contrast_draws(atoms, weights, idx)
+        b = contrast_draws_loop(atoms, weights, idx)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
@@ -76,46 +53,3 @@ def test_contrast_draws_shape_and_dtype():
     assert out.shape == (3,)
     assert out.dtype == np.float64
     assert out[1] == pytest.approx(0.5)
-
-
-def _run_with_backend(flag):
-    """Import the package in a subprocess under RIDGEBOOT_BACKEND=flag and
-    return (backend name, kernel outputs on fixed inputs)."""
-    code = (
-        "import json, numpy as np\n"
-        "from ridgeboot._kernels import active_backend, w2sq_sorted, contrast_draws\n"
-        "rng = np.random.default_rng(101)\n"
-        "x = np.sort(rng.standard_normal(80)); y = np.sort(rng.standard_normal(33))\n"
-        "atoms = rng.standard_normal(12); w = rng.standard_normal(5)\n"
-        "idx = rng.integers(0, 12, size=(20, 5))\n"
-        "print(json.dumps({'backend': active_backend(),"
-        " 'w2': w2sq_sorted(x, y), 'draws': contrast_draws(atoms, w, idx).tolist()}))\n"
-    )
-    env = dict(os.environ)
-    env["RIDGEBOOT_BACKEND"] = flag
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def test_env_flag_selects_backend_and_outputs_match():
-    out_numpy = _run_with_backend("numpy")
-    assert out_numpy["backend"] == "numpy"
-    flags = ["auto"]
-    if HAS_NUMBA:
-        flags.append("numba")
-    for flag in flags:
-        out = _run_with_backend(flag)
-        if flag == "numba":
-            assert out["backend"] == "numba"
-        assert out["w2"] == pytest.approx(out_numpy["w2"], rel=1e-12)
-        assert np.allclose(out["draws"], out_numpy["draws"], rtol=1e-12, atol=1e-14)
-
-
-def test_module_backend_matches_env_of_this_process():
-    flag = os.environ.get("RIDGEBOOT_BACKEND", "auto").strip().lower()
-    if flag == "numpy":
-        assert _kernels.active_backend() == "numpy"
-    elif HAS_NUMBA:
-        assert _kernels.active_backend() == "numba"

@@ -17,9 +17,9 @@ from ridgeboot.mallows import EmpiricalDistribution, d2_empirical
 from ridgeboot.resampling import (
     ci_normal,
     ci_ols_rb,
-    ci_oracle,
     ci_ridge_rb,
     ols_sigma_sq_hat,
+    pivot_interval,
     quantile,
     rb_contrast_draws,
 )
@@ -42,6 +42,12 @@ def test_quantile_ceil_index():
     assert quantile(values, 0.95) == 95.0
 
 
+def test_pivot_interval_endpoints():
+    # q_hi = 95 and q_lo = 5 of the draws 1..100 at level 0.9
+    ci = pivot_interval("ridge_rb", np.arange(100.0, 0.0, -1.0), 10.0, 0.9)
+    assert (ci.method, ci.level, ci.lower, ci.upper) == ("ridge_rb", 0.9, -85.0, 5.0)
+
+
 # ---------------------------------------------------------------------------
 # plug-in draws
 
@@ -57,9 +63,9 @@ def test_two_atom_draw_law():
     data, c = two_atom_setup()
     draws = rb_contrast_draws(data, c, rho=1.0, pilot_rho=1.0, B=10 ** 5,
                               rng=np.random.default_rng(0))
-    values = np.unique(draws.values)
+    values = np.unique(draws)
     np.testing.assert_allclose(values, [-0.5, 0.5], atol=1e-12)
-    freq = np.mean(draws.values == 0.5)
+    freq = np.mean(draws == 0.5)
     assert freq == pytest.approx(0.5, abs=0.01)
 
 
@@ -68,7 +74,7 @@ def test_perfect_pilot_gives_zero_draws():
     data, c = two_atom_setup()
     draws = rb_contrast_draws(data, c, rho=1.0, pilot_rho=0.0, B=100,
                               rng=np.random.default_rng(1))
-    assert np.all(draws.values == 0.0)
+    assert np.all(draws == 0.0)
 
 
 def test_plugin_law_matches_enumeration():
@@ -86,7 +92,7 @@ def test_plugin_law_matches_enumeration():
     centered = atoms - atoms.mean()
     exact = [float(a @ np.array(combo)) for combo in itertools.product(centered, repeat=3)]
     law = EmpiricalDistribution.from_samples(np.array(exact))
-    boot = EmpiricalDistribution.from_samples(draws.values)
+    boot = EmpiricalDistribution.from_samples(draws)
     assert d2_empirical(boot, law) <= 3e-3
 
 
@@ -97,7 +103,7 @@ def test_draws_scale_equivariance():
     scaled = Dataset(data.X, 2.0 * data.Y)
     da = rb_contrast_draws(data, c, 1.0, 1.0, 500, rng_a)
     db = rb_contrast_draws(scaled, c, 1.0, 1.0, 500, rng_b)
-    np.testing.assert_allclose(db.values, 2.0 * da.values, rtol=1e-12)
+    np.testing.assert_allclose(db, 2.0 * da, rtol=1e-12)
 
 
 def test_zero_contrast_refused():
@@ -227,17 +233,23 @@ def test_ols_rb_rejects_wide_designs():
 
 
 # ---------------------------------------------------------------------------
-# oracle interval
+# oracle interval: the quantile pivot on a pool of realized contrast errors
+
+def error_pool(X, beta, c, rho, sigma, N2, rng):
+    """Errors c^T b_rho - c^T beta of N2 fresh responses with N(0, sigma^2) noise."""
+    a = DesignFactorization(X).contrast_weights(c, rho)
+    eps = rng.standard_normal((N2, X.shape[0])) * sigma
+    return (X @ beta + eps) @ a - float(c @ beta)
+
 
 def test_oracle_zero_noise_degenerate():
     rng = np.random.default_rng(14)
     X = rng.standard_normal((12, 3))
     beta = rng.standard_normal(3)
     c = X[0].copy()
-    ci = ci_oracle(
-        X, beta, lambda g, n: np.zeros(n), lambda Xm, Y, g: 1e-9, c, 50, 0.9,
-        np.random.default_rng(15),
-    )
+    errors = error_pool(X, beta, c, 1e-9, 0.0, 50, np.random.default_rng(15))
+    point = float(c @ beta) + errors[0]
+    ci = pivot_interval("oracle", errors, point, 0.9)
     assert ci.width <= 1e-6
     assert ci.lower == pytest.approx(float(c @ beta), abs=1e-6)
 
@@ -251,8 +263,8 @@ def test_oracle_self_calibration():
     rho = 2.0
     fact = DesignFactorization(X)
     # anchored at 0 the interval is [-q_hi, -q_lo] of the error pool
-    ci = ci_oracle(X, beta, lambda g, n: g.standard_normal(n) * 0.5,
-                   lambda Xm, Y, g: rho, c, 800, 0.9, np.random.default_rng(17), point=0.0)
+    errors = error_pool(X, beta, c, rho, 0.5, 800, np.random.default_rng(17))
+    ci = pivot_interval("oracle", errors, 0.0, 0.9)
     q_lo, q_hi = -ci.upper, -ci.lower
     # fresh intervals anchored at new realizations cover the target exactly
     # when the new error lands between the pool quantiles
@@ -264,19 +276,6 @@ def test_oracle_self_calibration():
         err = float(fact.contrast_weights(c, rho) @ (X @ beta + eps)) - target
         hits += q_lo <= err <= q_hi
     assert hits / reps == pytest.approx(0.9, abs=0.03)
-
-
-def test_oracle_seed_deterministic():
-    rng = np.random.default_rng(19)
-    X = rng.standard_normal((10, 2))
-    beta = np.array([1.0, -1.0])
-    c = X[1].copy()
-    kwargs = dict(N2=100, level=0.9)
-    a = ci_oracle(X, beta, lambda g, n: g.standard_normal(n), lambda Xm, Y, g: 1.0, c,
-                  kwargs["N2"], kwargs["level"], np.random.default_rng(20))
-    b = ci_oracle(X, beta, lambda g, n: g.standard_normal(n), lambda Xm, Y, g: 1.0, c,
-                  kwargs["N2"], kwargs["level"], np.random.default_rng(20))
-    assert (a.lower, a.upper) == (b.lower, b.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +295,14 @@ def test_nominal_level_sanity_all_methods():
     B = 300
     reps = 2000
 
-    oracle_ci = ci_oracle(X, beta, lambda g, m: g.standard_normal(m) * sigma,
-                          lambda Xm, Y, g: rho, c, reps, level, np.random.default_rng(22))
+    pool = error_pool(X, beta, c, rho, sigma, reps, np.random.default_rng(22))
     cover = {"oracle": 0, "ridge_rb": 0, "normal": 0, "ols_rb": 0}
     gen = np.random.default_rng(23)
     for _ in range(reps):
         eps = gen.standard_normal(n) * sigma
         data = Dataset(X, X @ beta + eps)
         point = float(fact.contrast_weights(c, rho) @ data.Y)
-        cover["oracle"] += oracle_ci.lower <= point <= oracle_ci.upper
+        cover["oracle"] += pivot_interval("oracle", pool, point, level).contains(target)
         ci_r = ci_ridge_rb(data, c, rho, pilot, B, level, gen, fact=fact)
         cover["ridge_rb"] += ci_r.lower <= target <= ci_r.upper
         ci_n = ci_normal(data, c, rho, level, fact=fact)
