@@ -35,5 +35,7 @@ def contrast_draws(atoms: np.ndarray, weights: np.ndarray, idx: np.ndarray) -> n
     """Bootstrap contrast values z_b = sum_i weights[i] * atoms[idx[b, i]].
 
     ``idx`` is a (B, n) int64 matrix of atom indices drawn by the caller.
+    ``weights`` is one contrast, shape (n,), giving B values, or k contrasts
+    as the columns of an (n, k) matrix, giving a (B, k) array.
     """
     return np.asarray(atoms[idx] @ weights, dtype=np.float64)

@@ -130,18 +130,11 @@ def sample_noise(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarra
     return spec.atoms[rng.integers(0, spec.atoms.size, n)]
 
 
-def make_beta(p: int, style: str = "uniform_unit", values: np.ndarray | None = None) -> np.ndarray:
-    """Coefficient vector; uniform_unit is the all-ones direction at unit norm."""
+def make_beta(p: int) -> np.ndarray:
+    """Coefficient vector: the all-ones direction at unit norm."""
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise InputError("p must be a positive integer")
-    if style == "uniform_unit":
-        return np.full(int(p), 1.0 / np.sqrt(p))
-    if style == "custom":
-        beta = np.asarray(values, dtype=np.float64)
-        if beta.shape != (int(p),) or not np.all(np.isfinite(beta)):
-            raise InputError("custom beta must be a finite length-p vector")
-        return beta
-    raise InputError(f"unknown beta style {style!r}")
+    return np.full(int(p), 1.0 / np.sqrt(p))
 
 
 def generate_dataset(

@@ -17,7 +17,15 @@ from typing import Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .designs import NoiseSpec, make_beta, make_covariance, sample_design, sample_noise
+from . import __version__
+from .designs import (
+    NoiseSpec,
+    generate_dataset,
+    make_beta,
+    make_covariance,
+    sample_design,
+    sample_noise,
+)
 from .errors import ConfigError, DegenerateDataError, RidgebootError
 from .linmodel import Dataset, DesignFactorization, theta_rule
 from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb, pivot_interval
@@ -170,11 +178,11 @@ class MethodResult:
 
 @dataclass(frozen=True)
 class Table1Result:
-    """One experiment's per-method results plus instance accounting."""
+    """One experiment's per-method results, instance accounting and config."""
 
     methods: tuple
     skips: int
-    seed: int
+    config: ExperimentConfig
 
     def by_method(self) -> dict:
         return {m.method: m for m in self.methods}
@@ -273,7 +281,7 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
         )
         for m in METHODS
     )
-    return Table1Result(methods=methods, skips=skips, seed=config.seed)
+    return Table1Result(methods=methods, skips=skips, config=config)
 
 
 def write_config(config: ExperimentConfig, path: str) -> None:
@@ -340,22 +348,30 @@ def read_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _config_comment(config: ExperimentConfig) -> str:
+    """``# version=... n=... p=...``: the package version and every config
+    field but ``threads``, which results do not depend on."""
+    cells = [f"version={__version__}"]
+    cells += [f"{name}={kind(getattr(config, name))}" for name, kind in FIELD_TYPES.items()
+              if name != "threads"]
+    return "# " + " ".join(cells) + "\n"
+
+
 def write_results(results: Sequence, path: str) -> None:
     """Write experiment results as CSV.
 
-    ``results`` is a sequence of (setting_label, Table1Result) pairs.
-    The header comment records the fixed conventions so downstream
-    readers need no other context; no timestamps, so reruns are
-    byte-identical.
+    ``results`` is a sequence of (setting_label, Table1Result) pairs.  One
+    comment line per distinct configuration records it with the package
+    version; no timestamps and no thread count, so reruns are byte-identical.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# quantiles: order statistic at ceil(alpha*B); cv grid: geomspace over [min_factor*n, max_factor*n]\n")
+        fh.writelines(dict.fromkeys(_config_comment(result.config) for _, result in results))
         fh.write("setting,method,coverage,width,instances,skips,seed\n")
         for label, result in results:
             for m in result.methods:
                 fh.write(
                     f"{label},{m.method},{m.coverage:.17g},{m.width:.17g},"
-                    f"{m.instances},{result.skips},{result.seed}\n"
+                    f"{m.instances},{result.skips},{result.config.seed}\n"
                 )
 
 
@@ -479,15 +495,18 @@ def _setting_case(index: int, seed: int = 1):
     n, p, eta = _SETTINGS[name]
     gen = np.random.default_rng(seed_split(seed, (index,)))
     noise = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
-    cov = make_covariance(p, eta, gen)
-    X = sample_design(n, cov, gen)
-    beta = make_beta(p)
-    eps = sample_noise(noise, n, gen)
-    data = Dataset(X, X @ beta + eps, beta_true=beta, sigma_true=0.1)
-    fact = DesignFactorization(X)
-    c = X[int(np.argmax(fact.leverage()))].copy()
+    data = generate_dataset(n, make_covariance(p, eta, gen), make_beta(p), noise, gen)
+    c = data.X[int(np.argmax(DesignFactorization(data.X).leverage()))].copy()
     plan = cv_select(data, rng=gen)
     return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen
+
+
+def _doubling(lo: int, hi: int) -> list:
+    """lo, 2 lo, 4 lo, ... up to the first value at or above hi."""
+    grid = [lo]
+    while grid[-1] < hi:
+        grid.append(grid[-1] * 2)
+    return grid
 
 
 def _merge_overrides(defaults: dict, overrides: Optional[Mapping]) -> dict:
@@ -562,9 +581,7 @@ def _suite_rates(seed: int, overrides: Optional[Mapping]) -> list:
         overrides,
     )
     rows = []
-    grid = [64]
-    while grid[-1] < knobs["n_max"]:
-        grid.append(grid[-1] * 2)
+    grid = _doubling(64, knobs["n_max"])
     for nu in (0.3, 1.0, 2.0):
         gen = np.random.default_rng(seed_split(seed, (201, int(nu * 10))))
         est = rate_mspe(nu, grid, knobs["mspe_trials"], gen)
@@ -588,9 +605,7 @@ def _suite_rates(seed: int, overrides: Optional[Mapping]) -> list:
 
 def _suite_design_events(seed: int, overrides: Optional[Mapping]) -> list:
     knobs = _merge_overrides({"trials": 100, "n_min": 200, "n_max": 800}, overrides)
-    grid = [knobs["n_min"]]
-    while grid[-1] < knobs["n_max"]:
-        grid.append(grid[-1] * 2)
+    grid = _doubling(knobs["n_min"], knobs["n_max"])
     gen = np.random.default_rng(seed_split(seed, (301,)))
     reports = check_design_events(1.0, 0.6, theta_rule(1.0), grid, knobs["trials"], gen)
     return _report_rows(reports, seed=seed)
@@ -598,9 +613,7 @@ def _suite_design_events(seed: int, overrides: Optional[Mapping]) -> list:
 
 def _suite_theorem4(seed: int, overrides: Optional[Mapping]) -> list:
     knobs = _merge_overrides({"design_trials": 15, "noise_reps": 2000, "n_min": 50, "n_max": 200}, overrides)
-    grid = [knobs["n_min"]]
-    while grid[-1] < knobs["n_max"]:
-        grid.append(grid[-1] * 2)
+    grid = _doubling(knobs["n_min"], knobs["n_max"])
     gen = np.random.default_rng(seed_split(seed, (401,)))
     eta, gamma = 1.0, 0.55
     est = check_theorem4(

@@ -9,7 +9,7 @@ rho = n^(1-gamma) is converted by ``tuning.exponent_to_penalty``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,15 +85,6 @@ class RidgeFit:
     fitted: np.ndarray
 
 
-@dataclass(frozen=True)
-class ContrastDiagnostics:
-    """Variance v_rho(X;c), squared bias b2_rho(X;c), and their ratio."""
-
-    variance: float
-    bias_sq: float
-    ratio: float
-
-
 class DesignFactorization:
     """Thin SVD of a design, shared across every penalty evaluated on it."""
 
@@ -112,8 +103,8 @@ class DesignFactorization:
             return False
         return bool(self.s[-1] > _RANK_RTOL * max(self.s[0], 1e-300))
 
-    def _gain(self, rho: float) -> np.ndarray:
-        # Diagonal factors s_i / (s_i^2 + rho) of (X^T X + rho I)^{-1} X^T.
+    def gain(self, rho: float) -> np.ndarray:
+        """Ridge filter s_i / (s_i^2 + rho): the diagonal of (X^T X + rho I)^{-1} X^T."""
         if rho < 0:
             raise InputError("rho must be nonnegative")
         if rho == 0.0:
@@ -126,12 +117,12 @@ class DesignFactorization:
 
     def coefficients(self, Y: np.ndarray, rho: float) -> np.ndarray:
         """Solve (X^T X + rho I) beta = X^T Y."""
-        g = self._gain(rho)
+        g = self.gain(rho)
         return self.Vt.T @ (g * (self.U.T @ Y))
 
     def contrast_weights(self, c: np.ndarray, rho: float) -> np.ndarray:
         """Row vector a = c^T (X^T X + rho I)^{-1} X^T as a length-n array."""
-        g = self._gain(rho)
+        g = self.gain(rho)
         return self.U @ (g * (self.Vt @ c))
 
     def shrinkage_diag(self, rho: float) -> np.ndarray:
@@ -169,28 +160,10 @@ def ridge_fit(data: Dataset, rho: float, fact: DesignFactorization | None = None
     return RidgeFit(rho=float(rho), coefficients=coef, residuals=residuals, fitted=fitted)
 
 
-def ols_fit(data: Dataset, fact: DesignFactorization | None = None) -> RidgeFit:
-    """Least-squares solution; p <= n and full column rank required."""
-    if data.p > data.n:
-        raise SingularSystemError("OLS requires p <= n")
-    return ridge_fit(data, 0.0, fact=fact)
-
-
-def leverage_scores(X: np.ndarray) -> tuple[np.ndarray, int]:
-    """Diagonal of H = X (X^T X)^{-1} X^T and its argmax (ties -> smallest index)."""
-    fact = DesignFactorization(X)
-    scores = fact.leverage()
-    return scores, int(np.argmax(scores))
-
-
 def contrast_variance(
-    X: np.ndarray | DesignFactorization,
-    c: np.ndarray,
-    rho: float,
-    sigma_sq: float,
+    fact: DesignFactorization, c: np.ndarray, rho: float, sigma_sq: float
 ) -> float:
     """v_rho(X;c) = sigma^2 * ||c^T (X^T X + rho I)^{-1} X^T||_2^2."""
-    fact = X if isinstance(X, DesignFactorization) else DesignFactorization(X)
     c = _as_vector(c, fact.p, "c")
     if not np.isfinite(rho) or rho < 0:
         raise InputError("rho must be a finite nonnegative real")
@@ -200,51 +173,19 @@ def contrast_variance(
     return float(sigma_sq * (a @ a))
 
 
-def bias_vector(X: np.ndarray | DesignFactorization, beta: np.ndarray, rho: float) -> np.ndarray:
-    """delta(X), the conditional bias vector of the ridge estimator."""
-    fact = X if isinstance(X, DesignFactorization) else DesignFactorization(X)
+def contrast_bias_sq(
+    fact: DesignFactorization, c: np.ndarray, beta: np.ndarray, rho: float
+) -> float:
+    """b2_rho(X;c) = (c^T delta(X))^2."""
+    c = _as_vector(c, fact.p, "c")
     beta = _as_vector(beta, fact.p, "beta")
     if not (np.isfinite(rho) and rho > 0):
         raise InputError("rho must be positive")
-    return fact.bias_vector(beta, float(rho))
-
-
-def contrast_bias_sq(
-    X: np.ndarray | DesignFactorization,
-    c: np.ndarray,
-    beta: np.ndarray,
-    rho: float,
-) -> float:
-    """b2_rho(X;c) = (c^T delta(X))^2."""
-    fact = X if isinstance(X, DesignFactorization) else DesignFactorization(X)
-    c = _as_vector(c, fact.p, "c")
-    delta = bias_vector(fact, beta, rho)
-    return float(c @ delta) ** 2
-
-
-def contrast_diagnostics(
-    X: np.ndarray | DesignFactorization,
-    c: np.ndarray,
-    beta: np.ndarray,
-    rho: float,
-    sigma_sq: float,
-) -> ContrastDiagnostics:
-    """Bundle v_rho, b2_rho, and their ratio for one contrast."""
-    fact = X if isinstance(X, DesignFactorization) else DesignFactorization(X)
-    variance = contrast_variance(fact, c, rho, sigma_sq)
-    bias_sq = contrast_bias_sq(fact, c, beta, rho)
-    if variance > 0:
-        ratio = bias_sq / variance
-    else:
-        ratio = 0.0 if bias_sq == 0 else float("inf")
-    return ContrastDiagnostics(variance=variance, bias_sq=bias_sq, ratio=ratio)
+    return float(c @ fact.bias_vector(beta, float(rho))) ** 2
 
 
 def mspe_exact(
-    X: np.ndarray | DesignFactorization,
-    beta: np.ndarray,
-    varrho: float,
-    sigma_sq: float,
+    fact: DesignFactorization, beta: np.ndarray, varrho: float, sigma_sq: float
 ) -> float:
     """Exact conditional MSPE of the ridge estimator at raw penalty varrho.
 
@@ -252,7 +193,6 @@ def mspe_exact(
     with l_i the eigenvalues of X^T X / n; the variance term carries sigma^2 so
     both terms have the units of a squared response.
     """
-    fact = X if isinstance(X, DesignFactorization) else DesignFactorization(X)
     beta = _as_vector(beta, fact.p, "beta")
     if not (np.isfinite(varrho) and varrho >= 0):
         raise InputError("varrho must be a finite nonnegative real")

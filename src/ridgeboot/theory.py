@@ -13,22 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
-from .designs import CovarianceModel, NoiseSpec, make_beta, make_covariance, sample_design
+from .designs import NoiseSpec, make_beta, make_covariance, sample_design
 from .errors import DegenerateContrastError, InputError
-from .linmodel import (
-    Dataset,
-    DesignFactorization,
-    bias_vector,
-    mspe_exact,
-    ridge_fit,
-    theta_rule,
-)
+from .linmodel import Dataset, DesignFactorization, mspe_exact, ridge_fit, theta_rule
 from .mallows import EmpiricalDistribution, center_residuals, d2_empirical, d2_to_reference
+from .resampling import rb_contrast_draws
 from .tuning import cv_select, exponent_to_penalty
 
 __all__ = [
@@ -124,10 +118,12 @@ def _as_grid(n: Union[int, Sequence[int]]) -> tuple:
     return grid
 
 
-def _sorted_draw(sampler: Callable, rng: np.random.Generator, size: int) -> np.ndarray:
-    values = np.asarray(sampler(rng, size), dtype=np.float64)
-    values.sort()
-    return values
+def _draw_design(size: int, ratio: float, eta: float, gen: np.random.Generator) -> tuple:
+    """Factorized design with p = max(2, floor(ratio * size)) columns drawn from
+    the power-law covariance j^(-eta), and the unit-norm coefficient vector."""
+    p = max(2, int(math.floor(ratio * size)))
+    X = sample_design(size, make_covariance(p, eta, gen), gen)
+    return DesignFactorization(X), make_beta(p)
 
 
 def check_theorem1(
@@ -158,13 +154,13 @@ def check_theorem1(
     beta = data.beta_true
     sigma_sq = float(data.sigma_true) ** 2
     fact = DesignFactorization(data.X)
+    c = np.asarray(c, dtype=np.float64)
 
-    a = fact.contrast_weights(np.asarray(c, dtype=np.float64), rho)
+    a = fact.contrast_weights(c, rho)
     v = sigma_sq * float(a @ a)
     if v <= 0.0:
         raise DegenerateContrastError("contrast has zero variance at this penalty")
-    delta = bias_vector(fact, beta, rho)
-    shift = float(np.asarray(c, dtype=np.float64) @ delta)
+    shift = float(c @ fact.bias_vector(beta, rho))
     bias_sq = shift * shift
     sd = math.sqrt(v)
 
@@ -184,10 +180,7 @@ def check_theorem1(
     psi.sort()
 
     # Bootstrap law from centered pilot residuals, same normalization.
-    pilot = ridge_fit(data, pilot_rho, fact=fact)
-    fhat = center_residuals(pilot.residuals)
-    idx = rng.integers(0, fhat.size, size=(m_boot, n))
-    phi = _kernels.contrast_draws(fhat.atoms, a, idx) / sd
+    phi = rb_contrast_draws(data, c, rho, pilot_rho, m_boot, rng, fact=fact) / sd
     phi.sort()
 
     lhs = d2_empirical(
@@ -196,6 +189,7 @@ def check_theorem1(
     )
     lhs_sq = lhs * lhs
 
+    fhat = center_residuals(ridge_fit(data, pilot_rho, fact=fact).residuals)
     resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
     rhs = (resid_gap * resid_gap) / sigma_sq + bias_sq / v
 
@@ -250,24 +244,20 @@ def check_mspe_link(
     beta = data.beta_true
     sigma_sq = float(data.sigma_true) ** 2
     n = data.n
-    fact = DesignFactorization(X)
 
-    if estimator == "ridge":
-        if varrho is None:
-            varrho = cv_select(data, rng=rng).pilot_rho
-        mspe = mspe_exact(X, beta, varrho, sigma_sq)
-        coef_map = fact.coefficients
-        rho_used = float(varrho)
-    elif estimator == "ols":
-        if not fact.full_column_rank or data.p > n:
-            raise InputError("ols estimator needs a full-column-rank design")
-        mspe = mspe_exact(X, beta, 0.0, sigma_sq)
-        coef_map = fact.coefficients
-        rho_used = 0.0
+    if estimator == "perfect":
+        fact, rho_used, mspe = None, float("nan"), 0.0
     else:
-        mspe = 0.0
-        coef_map = None
-        rho_used = float("nan")
+        fact = DesignFactorization(X)
+        if estimator == "ols":
+            if not fact.full_column_rank:
+                raise InputError("ols estimator needs a full-column-rank design")
+            rho_used = 0.0
+        else:
+            if varrho is None:
+                varrho = cv_select(data, rng=rng).pilot_rho
+            rho_used = float(varrho)
+        mspe = mspe_exact(fact, beta, rho_used, sigma_sq)
 
     signal = X @ beta
     sampler = noise.sampler()
@@ -275,19 +265,16 @@ def check_mspe_link(
     raw_acc = 0.0
     for _ in range(reps):
         eps = sampler(rng, n)
-        if coef_map is None:
+        if fact is None:
             resid = eps
         else:
             y = signal + eps
-            coef = coef_map(y, rho_used)
-            resid = y - X @ coef
+            resid = y - X @ fact.coefficients(y, rho_used)
         gap = d2_to_reference(center_residuals(resid), sampler, m_ref, rng)
         lhs_acc += gap * gap
 
-        raw = _sorted_draw(sampler, rng, n)
-        raw_gap = d2_to_reference(
-            EmpiricalDistribution(atoms=raw, centered=False), sampler, m_ref, rng
-        )
+        raw = EmpiricalDistribution.from_samples(sampler(rng, n))
+        raw_gap = d2_to_reference(raw, sampler, m_ref, rng)
         raw_acc += raw_gap * raw_gap
 
     lhs = lhs_acc / reps
@@ -341,14 +328,11 @@ def rate_mspe(
     theta = theta_rule(nu)
     values = []
     for n in grid:
-        p = max(2, int(math.floor(ratio * n)))
         varrho = exponent_to_penalty(n, theta)
         acc = 0.0
         for _ in range(trials):
-            cov = make_covariance(p, nu, rng)
-            X = sample_design(n, cov, rng)
-            beta = make_beta(p)
-            acc += mspe_exact(X, beta, varrho, sigma_sq)
+            fact, beta = _draw_design(n, ratio, nu, rng)
+            acc += mspe_exact(fact, beta, varrho, sigma_sq)
         values.append(acc / trials)
     slope = _fit_slope(grid, values)
     if nu < 0.5:
@@ -405,10 +389,8 @@ def rate_d2_empirical(
     for n in grid:
         acc = 0.0
         for _ in range(trials):
-            raw = _sorted_draw(sampler, rng, n)
-            gap = d2_to_reference(
-                EmpiricalDistribution(atoms=raw, centered=False), sampler, m_ref, rng
-            )
+            raw = EmpiricalDistribution.from_samples(sampler(rng, n))
+            gap = d2_to_reference(raw, sampler, m_ref, rng)
             acc += gap * gap
         mean_sq = acc / trials
         values.append(mean_sq / math.log(max(n, 2)))
@@ -475,22 +457,12 @@ def check_design_events(
     grid = tuple(sorted(_as_grid(n)))
     _, var_rate, mspe_rate = _event_rates(eta, gamma, theta)
 
-    def draw_case(size: int, gen: np.random.Generator):
-        p = max(2, int(math.floor(ratio * size)))
-        cov = make_covariance(p, eta, gen)
-        X = sample_design(size, cov, gen)
-        beta = make_beta(p)
-        return X, beta
-
     def stats(size: int, gen: np.random.Generator):
-        X, beta = draw_case(size, gen)
-        fact = DesignFactorization(X)
+        fact, beta = _draw_design(size, ratio, eta, gen)
         rho = exponent_to_penalty(size, gamma)
         varrho = exponent_to_penalty(size, theta)
-        delta = bias_vector(fact, beta, rho)
-        bias_max = float(np.max((X @ delta) ** 2))
-        gain = fact.s / (fact.s * fact.s + rho)
-        per_row = sigma_sq * np.sum((fact.U * (fact.s * gain)) ** 2, axis=1)
+        bias_max = float(np.max((fact.X @ fact.bias_vector(beta, rho)) ** 2))
+        per_row = sigma_sq * np.sum((fact.U * (fact.s * fact.gain(rho))) ** 2, axis=1)
         inv_var_max = float(np.max(1.0 / per_row))
         mspe = mspe_exact(fact, beta, varrho, sigma_sq)
         norm_sq = float(beta @ beta)
@@ -590,26 +562,21 @@ def check_theorem4(
 
     medians = []
     for gi, size in enumerate(grid):
-        p = max(2, int(math.floor(ratio * size)))
         rho = exponent_to_penalty(size, gamma)
         varrho = exponent_to_penalty(size, theta)
         worst = np.empty(design_trials, dtype=np.float64)
         for d in range(design_trials):
             gen_design = np.random.default_rng(child_seeds[gi, d, 0])
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
-            cov = make_covariance(p, eta, gen_design)
-            X = sample_design(size, cov, gen_design)
-            beta = make_beta(p)
+            fact, beta = _draw_design(size, ratio, eta, gen_design)
             eps = sampler(gen_design, size)
-            fact = DesignFactorization(X)
+            X = fact.X
 
             # Smoother rows: row i of U diag(s^2/(s^2+rho)) U^T are the
             # contrast weights a_i for every row contrast at once.
-            shrink = fact.s * fact.s / (fact.s * fact.s + rho)
-            A = fact.U * shrink @ fact.U.T
+            A = fact.U * fact.shrinkage_diag(rho) @ fact.U.T
             v = sigma_sq * np.sum(A * A, axis=1)
-            delta = bias_vector(fact, beta, rho)
-            shifts = X @ delta
+            shifts = X @ fact.bias_vector(beta, rho)
             sd = np.sqrt(v)
 
             y = X @ beta + eps
@@ -619,8 +586,7 @@ def check_theorem4(
             fresh = sampler(gen_noise, noise_reps * size).reshape(noise_reps, size)
             psi = (fresh @ A.T - shifts) / sd
             idx = gen_noise.integers(0, fhat.size, size=(noise_reps, size))
-            boot = fhat.atoms[idx]
-            phi = (boot @ A.T) / sd
+            phi = _kernels.contrast_draws(fhat.atoms, A.T, idx) / sd
             psi = np.sort(psi, axis=0)
             phi = np.sort(phi, axis=0)
             row_d2sq = np.empty(size, dtype=np.float64)

@@ -24,11 +24,10 @@ DEFAULT_FOLDS = 5
 
 @dataclass(frozen=True)
 class PenaltyPlan:
-    """Selected base penalty with its pilot/inference pair and the CV trace."""
+    """Selected base penalty r_hat and its CV trace; the (pilot, inference)
+    pair is derived from r_hat by ``penalty_pair``."""
 
     r_hat: float
-    pilot_rho: float
-    inference_rho: float
     grid: np.ndarray
     cv_scores: np.ndarray
 
@@ -39,10 +38,14 @@ class PenaltyPlan:
             raise InputError("grid and cv_scores must be matching 1-D sequences")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cv_scores", scores)
-        if self.pilot_rho != PILOT_PREFACTOR * self.r_hat:
-            raise InputError("pilot_rho must equal 5 * r_hat")
-        if self.inference_rho != INFERENCE_PREFACTOR * self.r_hat:
-            raise InputError("inference_rho must equal 0.1 * r_hat")
+
+    @property
+    def pilot_rho(self) -> float:
+        return penalty_pair(self.r_hat)[0]
+
+    @property
+    def inference_rho(self) -> float:
+        return penalty_pair(self.r_hat)[1]
 
 
 def default_grid(
@@ -119,7 +122,7 @@ def cv_select(
         UtY = fact.U.T @ data.Y[train]
         X_hold, Y_hold = data.X[hold], data.Y[hold]
         for gi in range(grid.size):
-            g = fact.s / (fact.s * fact.s + grid[gi])
+            g = fact.gain(grid[gi])
             coef = fact.Vt.T @ (g * UtY)
             resid = Y_hold - X_hold @ coef
             scores[gi] += float(resid @ resid) / hold.size
@@ -131,12 +134,4 @@ def cv_select(
     # argmin over ascending grid: first minimum is the smallest penalty.
     masked = np.where(finite, scores, np.inf)
     best = int(np.argmin(masked))
-    r_hat = float(grid[best])
-    pilot, inference = penalty_pair(r_hat)
-    return PenaltyPlan(
-        r_hat=r_hat,
-        pilot_rho=pilot,
-        inference_rho=inference,
-        grid=grid,
-        cv_scores=scores,
-    )
+    return PenaltyPlan(r_hat=float(grid[best]), grid=grid, cv_scores=scores)

@@ -1,15 +1,18 @@
 """Experiment driver: seeding, config files, aggregation, and suite plumbing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ridgeboot
 from ridgeboot.designs import make_covariance, sample_design, sample_noise
 from ridgeboot.errors import ConfigError, RidgebootError
 from ridgeboot.harness import (
     _rate_rows,
     CHECK_SUITES,
+    FIELD_TYPES,
     METHODS,
     REPORT_COLUMNS,
     ExperimentConfig,
@@ -226,6 +229,25 @@ def test_write_results_format(tmp_path):
         assert float(r[3]) >= 0.0
         assert int(r[4]) == 20 * 2
         assert int(r[6]) == 3
+
+
+def test_results_header_records_config(tmp_path):
+    cfg = ExperimentConfig(
+        n=50, p=20, eta=1.0 / 3.0, N1=4, N2=7, B=100,
+        level=0.95, sigma=0.125, noise_family="normal", noise_dof=7.5,
+        grid_size=12, grid_min_factor=2e-4, grid_max_factor=50.0,
+        folds=4, cv_per_design=1, seed=987654321, threads=3,
+    )
+    methods = tuple(MethodResult(method=m, coverage=0.5, width=1.0, instances=2) for m in METHODS)
+    path = tmp_path / "out.csv"
+    write_results([("custom", Table1Result(methods=methods, skips=0, config=cfg))], str(path))
+    header = path.read_text().splitlines()[0]
+    assert header.startswith("# ")
+    values = dict(cell.split("=", 1) for cell in header[2:].split())
+    assert values.pop("version") == ridgeboot.__version__
+    assert "threads" not in values  # results do not depend on it
+    parsed = ExperimentConfig(**{key: FIELD_TYPES[key](v) for key, v in values.items()})
+    assert parsed == replace(cfg, threads=1)
 
 
 # ---------------------------------------------------------------------------

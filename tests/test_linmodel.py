@@ -8,13 +8,9 @@ from ridgeboot.errors import InputError, SingularSystemError
 from ridgeboot.linmodel import (
     Dataset,
     DesignFactorization,
-    bias_vector,
     contrast_bias_sq,
-    contrast_diagnostics,
     contrast_variance,
-    leverage_scores,
     mspe_exact,
-    ols_fit,
     read_matrix_csv,
     read_vector_csv,
     ridge_fit,
@@ -42,7 +38,7 @@ def test_ridge_two_by_two_oracle():
 
 
 def test_ols_identity_design():
-    fit = ols_fit(Dataset(np.eye(2), np.array([3.0, -1.0])))
+    fit = ridge_fit(Dataset(np.eye(2), np.array([3.0, -1.0])), 0.0)
     np.testing.assert_allclose(fit.coefficients, [3.0, -1.0], atol=1e-12)
 
 
@@ -50,7 +46,7 @@ def test_ols_matches_normal_equations():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((6, 3))
     Y = rng.standard_normal(6)
-    fit = ols_fit(Dataset(X, Y))
+    fit = ridge_fit(Dataset(X, Y), 0.0)
     want = np.linalg.solve(X.T @ X, X.T @ Y)
     np.testing.assert_allclose(fit.coefficients, want, rtol=1e-9)
 
@@ -76,7 +72,7 @@ def test_coefficient_norm_shrinks_with_penalty():
 def test_ridge_small_penalty_approaches_ols():
     data, _ = make_data(20, 4, seed=21)
     ridge = ridge_fit(data, 1e-10)
-    ols = ols_fit(data)
+    ols = ridge_fit(data, 0.0)
     assert np.max(np.abs(ridge.coefficients - ols.coefficients)) <= 1e-6
 
 
@@ -86,10 +82,12 @@ def test_ridge_penalty_validation():
         ridge_fit(data, -1.0)
     with pytest.raises(InputError):
         ridge_fit(data, np.inf)
-    # rho = 0 is OLS and demands full column rank
+    # rho = 0 is OLS and demands full column rank, so p <= n
     rank_deficient = Dataset(np.ones((4, 2)), np.ones(4))
     with pytest.raises(SingularSystemError):
         ridge_fit(rank_deficient, 0.0)
+    with pytest.raises(SingularSystemError):
+        ridge_fit(Dataset(np.eye(2, 3), np.ones(2)), 0.0)
     np.testing.assert_allclose(
         ridge_fit(Dataset(np.eye(2), np.array([2.0, 4.0])), 1.0).coefficients, [1.0, 2.0]
     )
@@ -98,10 +96,15 @@ def test_ridge_penalty_validation():
 # ---------------------------------------------------------------------------
 # leverage
 
+def leverage_and_argmax(X):
+    scores = DesignFactorization(X).leverage()
+    return scores, int(np.argmax(scores))
+
+
 def test_leverage_matches_projector():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((8, 3))
-    scores, istar = leverage_scores(X)
+    scores, istar = leverage_and_argmax(X)
     H = X @ np.linalg.inv(X.T @ X) @ X.T
     np.testing.assert_allclose(scores, np.diag(H), atol=1e-10)
     assert scores.sum() == pytest.approx(3.0, abs=1e-9)
@@ -112,11 +115,11 @@ def test_leverage_matches_projector():
 def test_leverage_requires_full_rank():
     X = np.ones((4, 2))  # rank 1
     with pytest.raises(SingularSystemError):
-        leverage_scores(X)
+        DesignFactorization(X).leverage()
 
 
 def test_leverage_argmax_ties_take_smallest_index():
-    scores, istar = leverage_scores(np.eye(3))
+    scores, istar = leverage_and_argmax(np.eye(3))
     np.testing.assert_allclose(scores, np.ones(3), atol=1e-12)
     assert istar == 0
 
@@ -126,7 +129,7 @@ def test_leverage_argmax_ties_take_smallest_index():
 
 def test_contrast_variance_zero_contrast():
     data, _ = make_data(5, 3, seed=2)
-    assert contrast_variance(data.X, np.zeros(3), 1.0, 1.0) == 0.0
+    assert contrast_variance(DesignFactorization(data.X), np.zeros(3), 1.0, 1.0) == 0.0
 
 
 def test_contrast_variance_monte_carlo():
@@ -137,21 +140,22 @@ def test_contrast_variance_monte_carlo():
     a = np.linalg.solve(X.T @ X + rho * np.eye(3), c) @ X.T
     draws = rng.standard_normal((10 ** 6, 5)) @ a
     mc = draws.var()
-    assert contrast_variance(X, c, rho, 1.0) == pytest.approx(mc, rel=0.01)
+    assert contrast_variance(DesignFactorization(X), c, rho, 1.0) == pytest.approx(mc, rel=0.01)
 
 
 def test_contrast_variance_nonincreasing_in_rho():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((9, 4))
     c = rng.standard_normal(4)
-    values = [contrast_variance(X, c, rho, 2.0) for rho in (0.1, 1.0, 5.0, 50.0)]
+    fact = DesignFactorization(X)
+    values = [contrast_variance(fact, c, rho, 2.0) for rho in (0.1, 1.0, 5.0, 50.0)]
     assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
 
 def test_contrast_bias_zero_beta():
     data, _ = make_data(6, 4, seed=4)
     for c in (np.ones(4), np.arange(4.0)):
-        assert contrast_bias_sq(data.X, c, np.zeros(4), 2.0) == 0.0
+        assert contrast_bias_sq(DesignFactorization(data.X), c, np.zeros(4), 2.0) == 0.0
 
 
 def test_contrast_bias_matrix_formula():
@@ -162,7 +166,7 @@ def test_contrast_bias_matrix_formula():
     rho = 1.3
     expected_coef = np.linalg.solve(X.T @ X + rho * np.eye(4), X.T @ X @ beta)
     want = float(c @ beta - c @ expected_coef) ** 2
-    assert contrast_bias_sq(X, c, beta, rho) == pytest.approx(want, rel=1e-9)
+    assert contrast_bias_sq(DesignFactorization(X), c, beta, rho) == pytest.approx(want, rel=1e-9)
 
 
 def test_bias_vector_matches_definition():
@@ -171,17 +175,23 @@ def test_bias_vector_matches_definition():
     beta = rng.standard_normal(3)
     rho = 0.9
     want = beta - np.linalg.solve(X.T @ X + rho * np.eye(3), X.T @ X @ beta)
-    np.testing.assert_allclose(bias_vector(X, beta, rho), want, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        DesignFactorization(X).bias_vector(beta, rho), want, rtol=1e-9, atol=1e-12
+    )
 
 
 def test_diagnostics_ratio_identity():
+    # b2 / v against the dense formulas for the squared bias and the variance
     rng = np.random.default_rng(12)
     X = rng.standard_normal((10, 4))
     beta = rng.standard_normal(4)
     c = rng.standard_normal(4)
+    fact = DesignFactorization(X)
     for rho in (0.2, 2.0, 20.0):
-        diag = contrast_diagnostics(X, c, beta, rho, sigma_sq=0.25)
-        assert diag.ratio * diag.variance == pytest.approx(diag.bias_sq, rel=1e-9)
+        a = np.linalg.solve(X.T @ X + rho * np.eye(4), c) @ X.T
+        bias = c @ beta - a @ (X @ beta)
+        ratio = contrast_bias_sq(fact, c, beta, rho) / contrast_variance(fact, c, rho, 0.25)
+        assert ratio * (0.25 * (a @ a)) == pytest.approx(bias ** 2, rel=1e-9)
 
 
 def test_bias_variance_ratio_monotone_in_rho():
@@ -190,7 +200,8 @@ def test_bias_variance_ratio_monotone_in_rho():
     beta = rng.standard_normal(4)
     c = rng.standard_normal(4)
     rhos = (0.05, 0.5, 5.0, 50.0)
-    ratios = [contrast_diagnostics(X, c, beta, r, sigma_sq=1.0).ratio for r in rhos]
+    fact = DesignFactorization(X)
+    ratios = [contrast_bias_sq(fact, c, beta, r) / contrast_variance(fact, c, r, 1.0) for r in rhos]
     assert all(ratios[i] <= ratios[i + 1] + 1e-12 for i in range(len(ratios) - 1))
 
 
@@ -204,14 +215,18 @@ def test_mspe_identity_design_frozen():
     beta = np.array([1.0, -2.0, 0.5, 3.0])
     sigma_sq = 0.36
     want = (np.sum(beta ** 2) / 4) / n + sigma_sq / 4
-    assert mspe_exact(np.eye(n), beta, 1.0, sigma_sq) == pytest.approx(want, rel=1e-12)
+    assert mspe_exact(DesignFactorization(np.eye(n)), beta, 1.0, sigma_sq) == pytest.approx(
+        want, rel=1e-12
+    )
 
 
 def test_mspe_zero_penalty_square_design():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((5, 5)) + np.eye(5) * 3
     beta = rng.standard_normal(5)
-    assert mspe_exact(X, beta, 0.0, 2.0) == pytest.approx(2.0 * 5 / 5, rel=1e-12)
+    assert mspe_exact(DesignFactorization(X), beta, 0.0, 2.0) == pytest.approx(
+        2.0 * 5 / 5, rel=1e-12
+    )
 
 
 def test_mspe_monte_carlo():
@@ -228,7 +243,9 @@ def test_mspe_monte_carlo():
     coef = eps @ G.T + (G @ (X @ beta))
     diff = coef @ X.T - (X @ beta)
     total = np.mean(np.sum(diff ** 2, axis=1)) / n
-    assert mspe_exact(X, beta, varrho, sigma ** 2) == pytest.approx(total, rel=0.01)
+    assert mspe_exact(DesignFactorization(X), beta, varrho, sigma ** 2) == pytest.approx(
+        total, rel=0.01
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Checks for the inequality validators, rate fits, and matrix identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ridgeboot.designs import NoiseSpec, generate_dataset, make_beta, make_covariance, sample_design
 from ridgeboot.errors import InputError
-from ridgeboot.linmodel import Dataset, theta_rule
+from ridgeboot.harness import _setting_case
+from ridgeboot.linmodel import Dataset, DesignFactorization, theta_rule
 from ridgeboot.theory import (
     CheckReport,
     RateEstimate,
@@ -87,6 +90,19 @@ def test_theorem1_holds_on_fitted_pilot():
     assert rep.holds
 
 
+def test_theorem1_bootstrap_memory_is_chunked():
+    # Setting 1 (n = 100) at 400,000 bootstrap draws: a single (m_boot, n)
+    # index matrix and its gathered atoms would take 610 MiB.
+    _, data, noise, c, rho, pilot, gen = _setting_case(1, seed=1)
+    tracemalloc.start()
+    try:
+        check_theorem1(data, noise, c, rho, pilot, gen, m_boot=400_000, m_ref=1_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
+
+
 def test_theorem1_needs_simulation_mode():
     rng = np.random.default_rng(0)
     data = Dataset(X=np.eye(4), Y=np.arange(4.0))
@@ -112,6 +128,22 @@ def test_mspe_link_holds_for_each_estimator():
                               varrho=varrho, m_ref=20000)
         assert rep.name == f"mspe_link_{estimator}"
         assert rep.holds
+
+
+def test_mspe_link_factorizes_once(monkeypatch):
+    data, noise, rng = _link_dataset(26)
+    shapes = []
+    init = DesignFactorization.__init__
+
+    def counting_init(self, X):
+        shapes.append(np.shape(X))
+        init(self, X)
+
+    monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
+    for estimator, varrho in (("ridge", 0.5), ("ols", None)):
+        shapes.clear()
+        check_mspe_link(data, noise, estimator, reps=2, rng=rng, varrho=varrho, m_ref=2000)
+        assert shapes == [data.X.shape], estimator
 
 
 def test_mspe_link_perfect_estimator_has_zero_mspe():

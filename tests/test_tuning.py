@@ -9,7 +9,6 @@ from ridgeboot.linmodel import Dataset, ridge_fit
 from ridgeboot.tuning import (
     INFERENCE_PREFACTOR,
     PILOT_PREFACTOR,
-    PenaltyPlan,
     cv_select,
     default_grid,
     exponent_to_penalty,
@@ -94,17 +93,6 @@ def test_cv_tie_break_smallest_penalty():
     grid = np.array([0.5, 0.5, 7.0])
     plan = cv_select(data, grid=grid, rng=np.random.default_rng(2))
     assert plan.r_hat in grid
-
-
-def test_penalty_plan_validates_pair():
-    with pytest.raises(InputError):
-        PenaltyPlan(
-            r_hat=1.0,
-            pilot_rho=4.9,  # not 5 * r_hat
-            inference_rho=0.1,
-            grid=np.array([1.0]),
-            cv_scores=np.array([0.0]),
-        )
 
 
 @pytest.mark.xfail(
