@@ -100,17 +100,17 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     c = _parse_contrast(args.contrast, X)
     gen = np.random.default_rng(seed_split(args.seed, (0,)))
 
+    fact = DesignFactorization(X)
     rho = args.rho
     pilot = args.pilot_rho
     need_pilot = args.method == "ridge_rb"
     if rho is None or (need_pilot and pilot is None):
-        plan = cv_select(data, rng=gen)
+        plan = cv_select(data, rng=gen, fact=fact)
         if rho is None:
             rho = plan.inference_rho
         if pilot is None:
             pilot = plan.pilot_rho
 
-    fact = DesignFactorization(X)
     if args.method == "ridge_rb":
         interval = ci_ridge_rb(data, c, rho, pilot, args.B, args.level, gen, fact=fact)
         estimate = float(fact.contrast_weights(c, rho) @ Y)

@@ -124,6 +124,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= 1")
         if not (isinstance(self.folds, (int, np.integer)) and self.folds >= 2):
             raise ConfigError("folds must be an integer >= 2")
+        if self.folds > self.n:
+            raise ConfigError("folds must not exceed n")
         if not (0.0 < self.level < 1.0):
             raise ConfigError("level must lie in (0,1)")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
@@ -213,7 +215,7 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
         data = Dataset(X, signal + eps, beta_true=beta, sigma_true=config.sigma)
         try:
             if plan is None or not config.cv_per_design:
-                plan = cv_select(data, grid=grid, folds=config.folds, rng=gen)
+                plan = cv_select(data, grid=grid, folds=config.folds, rng=gen, fact=fact)
             rho, varrho = plan.inference_rho, plan.pilot_rho
             point = float(fact.contrast_weights(c, rho) @ data.Y)
             ridge = ci_ridge_rb(data, c, rho, varrho, config.B, config.level, gen, fact=fact)
@@ -496,8 +498,9 @@ def _setting_case(index: int, seed: int = 1):
     gen = np.random.default_rng(seed_split(seed, (index,)))
     noise = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
     data = generate_dataset(n, make_covariance(p, eta, gen), make_beta(p), noise, gen)
-    c = data.X[int(np.argmax(DesignFactorization(data.X).leverage()))].copy()
-    plan = cv_select(data, rng=gen)
+    fact = DesignFactorization(data.X)
+    c = data.X[int(np.argmax(fact.leverage()))].copy()
+    plan = cv_select(data, rng=gen, fact=fact)
     return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen
 
 

@@ -255,7 +255,7 @@ def check_mspe_link(
             rho_used = 0.0
         else:
             if varrho is None:
-                varrho = cv_select(data, rng=rng).pilot_rho
+                varrho = cv_select(data, rng=rng, fact=fact).pilot_rho
             rho_used = float(varrho)
         mspe = mspe_exact(fact, beta, rho_used, sigma_sq)
 

@@ -21,6 +21,9 @@ DEFAULT_GRID_MAX_FACTOR = 1e2
 DEFAULT_GRID_SIZE = 30
 DEFAULT_FOLDS = 5
 
+# Penalties per batched held-out solve keep the (batch, h, k) scratch around 32 MB.
+_BATCH_CELLS = 4_000_000
+
 
 @dataclass(frozen=True)
 class PenaltyPlan:
@@ -82,11 +85,36 @@ def exponent_to_penalty(n: int, exponent: float) -> float:
     return float(n) ** (1.0 - float(exponent))
 
 
+def _held_out_residuals(
+    U_h: np.ndarray, e_h: np.ndarray, shrink: np.ndarray, keep: np.ndarray, square: bool
+) -> np.ndarray:
+    """Held-out residuals (I - H_hh)^{-1} e_h of one block for a batch of penalties.
+
+    U_h holds the block's rows of U, e_h (G, h) the full-data residuals on
+    the block, and shrink/keep (G, k) the factors s^2/(s^2+r) and
+    r/(s^2+r).  The batched system is solved on its smaller side.
+    """
+    h, k = U_h.shape
+    if h <= k:
+        # I - H_hh = (I - U_h U_h^T) + U_h diag(keep) U_h^T, one (h, h) system per penalty.
+        M = (U_h * keep[:, None, :]) @ U_h.T
+        if not square:
+            M += np.eye(h) - U_h @ U_h.T
+        return np.linalg.solve(M, e_h[..., None])[..., 0]
+    # Push-through: (I - U_h D U_h^T)^{-1} = I + U_h D (I - U_h^T U_h D)^{-1} U_h^T with
+    # D = diag(shrink) and I - U_h^T U_h D = (I - U_h^T U_h) + U_h^T U_h diag(keep).
+    gram = U_h.T @ U_h
+    M = (np.eye(k) - gram) + gram * keep[:, None, :]
+    z = np.linalg.solve(M, (e_h @ U_h)[..., None])[..., 0]
+    return e_h + (shrink * z) @ U_h.T
+
+
 def cv_select(
     data: Dataset,
     grid: np.ndarray | None = None,
     folds: int = DEFAULT_FOLDS,
     rng: np.random.Generator | None = None,
+    fact: DesignFactorization | None = None,
 ) -> PenaltyPlan:
     """K-fold cross-validated ridge penalty selection.
 
@@ -94,21 +122,49 @@ def cv_select(
     the last block absorbs the remainder.  For every grid value r the score is
     the mean over folds of ||Y_hold - X_hold beta_r(train)||^2 / n_hold, and
     r_hat is the argmin with ties broken toward the smaller penalty.
+
+    No fold is refitted.  Ridge is a linear smoother with hat matrix
+    H = U diag(s^2/(s^2+r)) U^T from the thin SVD X = U diag(s) V^T of the
+    full design, and the held-out residual of block h is exactly
+    (I - H_hh)^{-1} e_h, where e = Y - H Y is the full-data residual (the
+    block form of the leave-one-out shortcut).  Both I - H and e are built
+    from the complement factors r/(s^2+r), so small penalties lose no digits
+    to cancellation.  Each block solves one batched system for all penalties
+    on its smaller side: the (|h|, |h|) system I - H_hh when |h| <= k =
+    len(s), else the (k, k) system of the push-through identity
+    (I - U_h D U_h^T)^{-1} = I + U_h D (I_k - U_h^T U_h D)^{-1} U_h^T.
+    `fact` is the factorization of data.X; one is built when it is None.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if grid is None:
         grid = default_grid(data.n)
-    grid = np.sort(np.asarray(grid, dtype=np.float64))
+    grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise InputError("grid must be a nonempty 1-D sequence")
     if np.any(~np.isfinite(grid)) or np.any(grid <= 0):
         raise InputError("grid penalties must be positive finite reals")
-    if folds < 2:
-        raise InputError("folds must be at least 2")
+    grid = np.sort(grid)
+    if not (isinstance(folds, (int, np.integer)) and folds >= 2):
+        raise InputError("folds must be an integer >= 2")
     n = data.n
     if n < folds:
         raise InputError("need at least one row per fold")
+    if fact is None:
+        fact = DesignFactorization(data.X)
+    elif (fact.n, fact.p) != (n, data.p):
+        raise InputError("factorization does not match the design")
+
+    U, s2 = fact.U, fact.s * fact.s
+    k = s2.size
+    shrink = s2 / (s2 + grid[:, None])
+    keep = grid[:, None] / (s2 + grid[:, None])
+    UtY = U.T @ data.Y
+    # With k = n, U is orthogonal and I - U U^T vanishes exactly.
+    square = k == n
+    resid = (keep * UtY) @ U.T
+    if not square:
+        resid += data.Y - U @ UtY
 
     perm = rng.permutation(n)
     base = n // folds
@@ -117,15 +173,14 @@ def cv_select(
         start = f * base
         stop = (f + 1) * base if f < folds - 1 else n
         hold = perm[start:stop]
-        train = np.concatenate([perm[:start], perm[stop:]])
-        fact = DesignFactorization(data.X[train])
-        UtY = fact.U.T @ data.Y[train]
-        X_hold, Y_hold = data.X[hold], data.Y[hold]
-        for gi in range(grid.size):
-            g = fact.gain(grid[gi])
-            coef = fact.Vt.T @ (g * UtY)
-            resid = Y_hold - X_hold @ coef
-            scores[gi] += float(resid @ resid) / hold.size
+        U_h = U[hold]
+        step = max(1, _BATCH_CELLS // (hold.size * k))
+        for lo in range(0, grid.size, step):
+            batch = slice(lo, lo + step)
+            cv_resid = _held_out_residuals(
+                U_h, resid[batch][:, hold], shrink[batch], keep[batch], square
+            )
+            scores[batch] += np.einsum("gh,gh->g", cv_resid, cv_resid) / hold.size
     scores /= folds
 
     finite = np.isfinite(scores)

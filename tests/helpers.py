@@ -64,3 +64,39 @@ def contrast_draws_loop(atoms, weights, idx):
             acc += float(weights[i]) * float(atoms[j])
         out[b] = acc
     return out
+
+
+def ridge_lstsq(X, Y, rho):
+    """Ridge coefficients by least squares on the stacked system [X; sqrt(rho) I].
+
+    No normal equations are formed, so penalties far below the squared
+    singular values keep their digits.
+    """
+    X = np.asarray(X, dtype=float)
+    p = X.shape[1]
+    A = np.vstack([X, np.sqrt(rho) * np.eye(p)])
+    b = np.concatenate([np.asarray(Y, dtype=float), np.zeros(p)])
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+def cv_scores_refit(X, Y, grid, folds, perm, fit=ridge_dense):
+    """K-fold CV scores by refitting every training fold with ``fit``
+    (``ridge_dense`` by default).
+
+    Blocks are the contiguous cuts of ``perm`` that ``cv_select`` uses (the
+    last absorbs the remainder); each score is the mean over folds of the
+    held-out mean squared error.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    n = X.shape[0]
+    base = n // folds
+    scores = np.zeros(len(grid))
+    for f in range(folds):
+        stop = (f + 1) * base if f < folds - 1 else n
+        hold = perm[f * base:stop]
+        train = np.setdiff1d(np.arange(n), hold)
+        for g, rho in enumerate(grid):
+            resid = Y[hold] - X[hold] @ fit(X[train], Y[train], rho)
+            scores[g] += resid @ resid / hold.size
+    return scores / folds

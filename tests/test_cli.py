@@ -131,6 +131,14 @@ def test_simulate_requires_core_fields(tmp_path, capsys):
     assert "required" in err
 
 
+def test_simulate_rejects_more_folds_than_rows(tmp_path, capsys):
+    args = ["simulate", "--out", str(tmp_path / "x.csv"), "--n", "4", "--p", "2",
+            "--eta", "0.5", "--N1", "1", "--N2", "2", "--B", "10", "--folds", "5"]
+    assert main(args) == 2
+    assert "folds must not exceed n" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_config_and_preset_conflict(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     write_config(ExperimentConfig(n=10, p=2, eta=0.5, N1=1, N2=4, B=50), str(cfg))

@@ -111,6 +111,7 @@ def test_config_validation():
         dict(ok, sigma=0.0),
         dict(ok, eta=-0.1),
         dict(ok, folds=1),
+        dict(ok, folds=11),
         dict(ok, cv_per_design=2),
         dict(ok, seed=-1),
         dict(ok, seed=1 << 64),
@@ -197,6 +198,23 @@ def test_run_table1_shared_cv_plan_per_design():
     assert oracle.instances == 60
     expected = (math.ceil(0.95 * 30) - math.ceil(0.05 * 30) + 1) / 30
     assert oracle.coverage == pytest.approx(expected)
+
+
+def test_run_table1_factorizes_each_design_once(monkeypatch):
+    """CV for every response reuses the design's SVD: one factorization per
+    design, where refitting the folds would add five per response."""
+    config = _small_config(N1=1, N2=6, B=50)
+    built = []
+    init = DesignFactorization.__init__
+
+    def counting_init(self, X):
+        built.append(np.shape(X))
+        init(self, X)
+
+    monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
+    result = run_table1(config)
+    assert result.skips == 0
+    assert built == [(config.n, config.p)]
 
 
 def test_preset_config_values():

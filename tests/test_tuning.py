@@ -1,11 +1,16 @@
 """Cross-validation penalty selection and the penalty conventions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ridgeboot import tuning
 from ridgeboot.designs import NoiseSpec, make_beta, make_covariance, sample_design, sample_noise
 from ridgeboot.errors import InputError
-from ridgeboot.linmodel import Dataset, ridge_fit
+from ridgeboot.linmodel import Dataset, DesignFactorization, ridge_fit
 from ridgeboot.tuning import (
     INFERENCE_PREFACTOR,
     PILOT_PREFACTOR,
@@ -14,6 +19,8 @@ from ridgeboot.tuning import (
     exponent_to_penalty,
     penalty_pair,
 )
+
+from helpers import cv_scores_refit, ridge_lstsq
 
 
 def noisy_data(seed, n=60, p=12, sigma=0.5):
@@ -93,6 +100,126 @@ def test_cv_tie_break_smallest_penalty():
     grid = np.array([0.5, 0.5, 7.0])
     plan = cv_select(data, grid=grid, rng=np.random.default_rng(2))
     assert plan.r_hat in grid
+
+
+def test_cv_rejects_bad_grid_and_folds():
+    data = noisy_data(4)
+    for kwargs in (
+        dict(grid=5.0),
+        dict(grid=[[1.0, 2.0]]),
+        dict(grid=[]),
+        dict(grid=[1.0, -2.0]),
+        dict(folds=2.5),
+        dict(folds=1),
+        dict(folds=61),
+        dict(fact=DesignFactorization(data.X[:50])),
+    ):
+        with pytest.raises(InputError):
+            cv_select(data, rng=np.random.default_rng(0), **kwargs)
+
+
+def _refit_case(n, p, seed, duplicate=False):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    if duplicate:
+        X = np.hstack([X, X[:, : p // 2]])
+    Y = X @ rng.standard_normal(X.shape[1]) / np.sqrt(p) + 0.5 * rng.standard_normal(n)
+    return Dataset(X, Y)
+
+
+@pytest.mark.parametrize(
+    "n, p, folds, duplicate",
+    [
+        (100, 95, 5, False),
+        (100, 45, 5, False),
+        (60, 90, 5, False),  # p > n
+        (53, 8, 5, False),  # n not divisible by folds
+        (25, 10, 25, False),  # leave-one-out
+        (60, 20, 5, True),  # duplicated columns: rank 20 of 30
+        (2000, 20, 5, False),  # tall: blocks of 400 rows > k = 20
+    ],
+)
+def test_cv_scores_match_fold_refits(n, p, folds, duplicate):
+    data = _refit_case(n, p, seed=n + p, duplicate=duplicate)
+    grid = default_grid(n)
+    plan = cv_select(data, grid=grid, folds=folds, rng=np.random.default_rng(9))
+    perm = np.random.default_rng(9).permutation(n)
+    want = cv_scores_refit(data.X, data.Y, grid, folds, perm)
+    assert np.max(np.abs(plan.cv_scores - want) / want) <= 1e-9
+    assert plan.r_hat == grid[int(np.argmin(want))]
+
+
+def test_cv_small_penalties_keep_their_digits():
+    """Penalties of 1e-10 n .. 1e-8 n on a wide design make I - H_hh and the
+    residuals tiny.  Built from r/(s^2+r) rather than as differences from
+    the identity they keep their digits: the difference form is off by
+    2.9e-6 here, and a normal-equation refit (``ridge_dense``) by 5e-7."""
+    data = _refit_case(60, 90, seed=5)
+    grid = default_grid(60, 6, 1e-10, 1e-8)
+    plan = cv_select(data, grid=grid, rng=np.random.default_rng(9))
+    perm = np.random.default_rng(9).permutation(60)
+    want = cv_scores_refit(data.X, data.Y, grid, 5, perm, fit=ridge_lstsq)
+    assert np.max(np.abs(plan.cv_scores - want) / want) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 30),
+    p=st.integers(1, 40),
+    folds=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cv_scores_match_fold_refits_property(n, p, folds, seed):
+    folds = min(folds, n)
+    data = _refit_case(n, p, seed)
+    grid = default_grid(n, size=8)
+    plan = cv_select(data, grid=grid, folds=folds, rng=np.random.default_rng(seed))
+    perm = np.random.default_rng(seed).permutation(n)
+    want = cv_scores_refit(data.X, data.Y, grid, folds, perm)
+    assert np.max(np.abs(plan.cv_scores - want) / want) <= 1e-9
+    # the selection is a refit minimizer (an exact tie could go either way)
+    assert want[plan.grid == plan.r_hat][0] <= want.min() * (1 + 1e-9)
+
+
+def test_cv_tall_design_solves_on_the_rank_side():
+    """Blocks of 400 rows against k = 20: the (G, k, k) push-through system,
+    not (G, 400, 400) held-out matrices (38 MB for the default 30 penalties)."""
+    data = _refit_case(2000, 20, seed=6)
+    fact = DesignFactorization(data.X)
+    tracemalloc.start()
+    try:
+        cv_select(data, rng=np.random.default_rng(0), fact=fact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_cv_penalty_batches_do_not_change_scores(monkeypatch):
+    data = _refit_case(100, 95, seed=3)
+    whole = cv_select(data, rng=np.random.default_rng(1))
+    monkeypatch.setattr(tuning, "_BATCH_CELLS", 1)  # one penalty per solve
+    split = cv_select(data, rng=np.random.default_rng(1))
+    np.testing.assert_allclose(split.cv_scores, whole.cv_scores, rtol=1e-12)
+    assert split.r_hat == whole.r_hat
+
+
+def test_cv_with_factorization_builds_none(monkeypatch):
+    data = noisy_data(8)
+    fact = DesignFactorization(data.X)
+    built = []
+    init = DesignFactorization.__init__
+
+    def counting_init(self, X):
+        built.append(np.shape(X))
+        init(self, X)
+
+    monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
+    given_fact = cv_select(data, rng=np.random.default_rng(4), fact=fact)
+    assert built == []
+    own_fact = cv_select(data, rng=np.random.default_rng(4))
+    assert built == [data.X.shape]
+    np.testing.assert_array_equal(given_fact.cv_scores, own_fact.cv_scores)
 
 
 @pytest.mark.xfail(
