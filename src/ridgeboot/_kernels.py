@@ -14,20 +14,21 @@ def w2sq_sorted(x: np.ndarray, y: np.ndarray) -> float:
     """Squared Wasserstein-2 distance between uniform empiricals with sorted atoms.
 
     Integrates the squared quantile-function difference over the merged
-    probability grid; exact up to floating-point summation.  Inputs must be
-    1-D, sorted nondecreasing, and nonempty (enforced by callers).
+    probability grid, built by integer arithmetic in O(m + k); exact up to
+    float summation.  Inputs must be 1-D, sorted and nonempty (callers check).
     """
-    # Quantile functions are step functions with jumps at i/m and j/k; walking
-    # the merged grid in integer positions (units of 1/(m*k)) avoids float
-    # comparisons of i/m against j/k.
+    # The quantile functions jump at i*k and j*m in units of 1/(m*k).  Insert into the
+    # longer progression the shorter one's points it lacks, each at point // step.
     m, k = x.shape[0], y.shape[0]
-    bx = np.arange(1, m + 1, dtype=np.int64) * k
-    by = np.arange(1, k + 1, dtype=np.int64) * m
-    edges = np.union1d(bx, by)
+    lo, hi = sorted((m, k))
+    edges = np.arange(1, hi + 1, dtype=np.int64) * lo
+    extra = np.arange(1, lo + 1, dtype=np.int64) * hi
+    extra = extra[extra % lo != 0]
+    edges = np.insert(edges, extra // lo, extra)
     widths = np.diff(edges, prepend=np.int64(0))
-    ix = np.searchsorted(bx, edges, side="left")
-    iy = np.searchsorted(by, edges, side="left")
-    d = x[ix] - y[iy]
+    # On (e - width, e] x sits on step (e - 1) // k, its jumps below e; y likewise.
+    edges -= 1
+    d = x[edges // k] - y[edges // m]
     return float(np.sum(widths * (d * d)) / (np.int64(m) * np.int64(k)))
 
 

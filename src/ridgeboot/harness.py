@@ -492,7 +492,7 @@ def _sweep_cases(seed: int, count: int):
 
 
 def _setting_case(index: int, seed: int = 1):
-    """One seeded simulation-study design with CV-selected penalties."""
+    """One seeded simulation-study design with CV-selected penalties and its SVD."""
     name = f"setting{index}"
     n, p, eta = _SETTINGS[name]
     gen = np.random.default_rng(seed_split(seed, (index,)))
@@ -501,7 +501,7 @@ def _setting_case(index: int, seed: int = 1):
     fact = DesignFactorization(data.X)
     c = data.X[int(np.argmax(fact.leverage()))].copy()
     plan = cv_select(data, rng=gen, fact=fact)
-    return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen
+    return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen, fact
 
 
 def _doubling(lo: int, hi: int) -> list:
@@ -530,11 +530,9 @@ def _suite_theorem1(seed: int, overrides: Optional[Mapping]) -> list:
         rows.extend(_report_rows([rep], seed=child))
     if knobs["include_settings"]:
         for index in (1, 2, 3, 4):
-            name, data, noise, c, rho, pilot, gen = _setting_case(index, seed=1)
-            rep = check_theorem1(
-                data, noise, c, rho, pilot, gen,
-                m_boot=knobs["settings_m"], m_ref=knobs["settings_m"],
-            )
+            name, data, noise, c, rho, pilot, gen, fact = _setting_case(index, seed=1)
+            rep = check_theorem1(data, noise, c, rho, pilot, gen, m_boot=knobs["settings_m"],
+                                 m_ref=knobs["settings_m"], fact=fact)
             row = _report_rows([rep], seed=1)[0]
             row["name"] = f"theorem1[{name}]"
             rows.append(row)

@@ -2,8 +2,8 @@
 
 Every distribution in scope is a uniform discrete law: mass 1/m at each of m
 atoms.  For such pairs the optimal coupling is the quantile coupling, so the
-distance is computed exactly by integrating the squared quantile difference
-over the merged probability grid (see ``_kernels.w2sq_sorted``).
+distance is exact: the squared quantile difference integrated over the merged
+probability grid, which ``_kernels.w2sq_sorted`` builds in O(m + k).
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class EmpiricalDistribution:
     def size(self) -> int:
         return int(self.atoms.size)
 
-    def second_moment(self) -> float:
-        return float(np.mean(self.atoms**2))
-
 
 def center_residuals(residuals: np.ndarray) -> EmpiricalDistribution:
     """Centered empirical law of residuals: mass 1/n at each e_i minus the mean."""
@@ -66,9 +63,9 @@ def center_residuals(residuals: np.ndarray) -> EmpiricalDistribution:
     if not np.all(np.isfinite(residuals)):
         raise InputError("residuals must be finite")
     atoms = np.sort(residuals - residuals.mean())
-    # Guard the frozen-dataclass invariant against accumulated rounding.
+    # Re-center against accumulated rounding; a constant shift keeps it sorted.
     atoms = atoms - atoms.mean()
-    return EmpiricalDistribution(atoms=np.sort(atoms), centered=True)
+    return EmpiricalDistribution(atoms=atoms, centered=True)
 
 
 def d2_empirical(F: EmpiricalDistribution, G: EmpiricalDistribution) -> float:

@@ -137,6 +137,7 @@ def check_theorem1(
     m_ref: int = DEFAULT_M_REF,
     rel_slack: float = REL_SLACK,
     abs_slack: float = ABS_SLACK,
+    fact: DesignFactorization | None = None,
 ) -> CheckReport:
     """Compare the bootstrap law of a contrast error against its transfer bound.
 
@@ -145,7 +146,7 @@ def check_theorem1(
     from centered pilot residuals.  Right side: squared residual-law
     distance to the true noise law scaled by 1/sigma^2, plus the squared
     normalized ridge bias.  The inequality holds for every design, so a
-    single seeded run is a meaningful check.
+    single seeded run is a meaningful check.  `fact` (data.X's SVD) is built when None.
     """
     if data.beta_true is None or data.sigma_true is None:
         raise InputError("theorem check needs a simulation-mode dataset")
@@ -153,7 +154,10 @@ def check_theorem1(
         raise InputError("noise scale must be positive for this check")
     beta = data.beta_true
     sigma_sq = float(data.sigma_true) ** 2
-    fact = DesignFactorization(data.X)
+    if fact is None:
+        fact = DesignFactorization(data.X)
+    elif (fact.n, fact.p) != (data.n, data.p):
+        raise InputError("factorization does not match the design")
     c = np.asarray(c, dtype=np.float64)
 
     a = fact.contrast_weights(c, rho)

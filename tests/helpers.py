@@ -55,6 +55,24 @@ def w2sq_merge_loop(x, y):
     return total / (m * k)
 
 
+def w2sq_union1d(x, y):
+    """Squared Wasserstein-2 between sorted uniform empiricals, with the merged
+    breakpoints built by ``np.union1d`` and the step indices by binary search.
+
+    The kernel's earlier form, frozen: it evaluates the same integer grid and
+    the same final sum, so the library kernel must match it bit for bit.
+    """
+    m, k = len(x), len(y)
+    bx = np.arange(1, m + 1, dtype=np.int64) * k
+    by = np.arange(1, k + 1, dtype=np.int64) * m
+    edges = np.union1d(bx, by)
+    widths = np.diff(edges, prepend=np.int64(0))
+    ix = np.searchsorted(bx, edges, side="left")
+    iy = np.searchsorted(by, edges, side="left")
+    d = x[ix] - y[iy]
+    return float(np.sum(widths * (d * d)) / (np.int64(m) * np.int64(k)))
+
+
 def contrast_draws_loop(atoms, weights, idx):
     """Bootstrap contrasts z_b = sum_i weights[i] * atoms[idx[b, i]], one row at a time."""
     out = np.empty(len(idx))

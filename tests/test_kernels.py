@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import contrast_draws_loop, w2sq_merge_loop
+from helpers import contrast_draws_loop, w2sq_merge_loop, w2sq_union1d
 from ridgeboot._kernels import active_backend, contrast_draws, w2sq_sorted
 
 
@@ -32,6 +34,29 @@ def test_w2sq_backends_agree():
         x = np.sort(rng.standard_normal(m))
         y = np.sort(rng.standard_normal(k) * 2.0 + 0.3)
         assert w2sq_sorted(x, y) == pytest.approx(w2sq_merge_loop(x, y), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [(1, 1), (1, 7), (7, 1), (5, 3), (64, 64), (6, 4), (40, 20_000), (20_000, 40),
+     (997, 1024), (10_000, 100_000)],
+)
+def test_w2sq_matches_union1d_bits(m, k):
+    """The integer merge builds the same grid, indices and sum as union1d."""
+    rng = np.random.default_rng(m * 100_003 + k)
+    x = np.sort(rng.standard_normal(m))
+    y = np.sort(rng.standard_normal(k) * 2.0 + 0.3)
+    assert w2sq_sorted(x, y) == w2sq_union1d(x, y)
+    assert w2sq_sorted(y, x) == w2sq_union1d(y, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 400), k=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_w2sq_matches_union1d_bits_property(m, k, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.standard_normal(m))
+    y = np.sort(rng.standard_normal(k) * 2.0 + 0.3)
+    assert w2sq_sorted(x, y) == w2sq_union1d(x, y)
 
 
 def test_contrast_draws_backends_agree():

@@ -7,7 +7,7 @@ import pytest
 
 from ridgeboot.designs import NoiseSpec, generate_dataset, make_beta, make_covariance, sample_design
 from ridgeboot.errors import InputError
-from ridgeboot.harness import _setting_case
+from ridgeboot.harness import _setting_case, run_check_suite
 from ridgeboot.linmodel import Dataset, DesignFactorization, theta_rule
 from ridgeboot.theory import (
     CheckReport,
@@ -93,7 +93,7 @@ def test_theorem1_holds_on_fitted_pilot():
 def test_theorem1_bootstrap_memory_is_chunked():
     # Setting 1 (n = 100) at 400,000 bootstrap draws: a single (m_boot, n)
     # index matrix and its gathered atoms would take 610 MiB.
-    _, data, noise, c, rho, pilot, gen = _setting_case(1, seed=1)
+    _, data, noise, c, rho, pilot, gen, _ = _setting_case(1, seed=1)
     tracemalloc.start()
     try:
         check_theorem1(data, noise, c, rho, pilot, gen, m_boot=400_000, m_ref=1_000)
@@ -101,6 +101,36 @@ def test_theorem1_bootstrap_memory_is_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2 ** 20
+
+
+def test_theorem1_settings_factorize_once(monkeypatch):
+    """The settings cases hand their CV factorization to the check: one SVD
+    per case, where building another inside the check would make two."""
+    shapes = []
+    init = DesignFactorization.__init__
+
+    def counting_init(self, X):
+        shapes.append(np.shape(X))
+        init(self, X)
+
+    monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
+    rows = run_check_suite("theorem1", 0, overrides={"sweep": 0, "settings_m": 2000})
+    assert [row["name"] for row in rows] == [f"theorem1[setting{i}]" for i in (1, 2, 3, 4)]
+    assert shapes == [(100, 45), (100, 95), (100, 45), (100, 95)]
+
+
+def test_theorem1_given_factorization_matches_and_is_checked():
+    rng = np.random.default_rng(34)
+    noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
+    data = generate_dataset(40, make_covariance(10, 1.0, rng), make_beta(10), noise, rng)
+    c = data.X[2]
+    knobs = {"m_boot": 2000, "m_ref": 4000}
+    built = check_theorem1(data, noise, c, 2.0, 10.0, np.random.default_rng(8), **knobs)
+    given = check_theorem1(data, noise, c, 2.0, 10.0, np.random.default_rng(8), **knobs,
+                           fact=DesignFactorization(data.X))
+    assert (given.lhs, given.rhs) == (built.lhs, built.rhs)
+    with pytest.raises(InputError):
+        check_theorem1(data, noise, c, 2.0, 10.0, rng, fact=DesignFactorization(data.X[:, :-1]))
 
 
 def test_theorem1_needs_simulation_mode():
