@@ -21,8 +21,15 @@ from .errors import DegenerateContrastError, InputError, UnestimableVarianceErro
 from .linmodel import Dataset, DesignFactorization, ridge_fit
 from .mallows import center_residuals
 
-# Index-draw chunk bound keeps the (chunk, n) scratch matrix around 32 MB.
-_CHUNK_CELLS = 4_000_000
+# Draws run in chunks of about 64K cells (512 KB of int64 indices), so the
+# scratch arrays come from the reused heap rather than fresh pages that fault
+# in on every call.  Each z_b stays bit-identical to one unchunked
+# ``atoms[idx] @ weights`` under two conditions: every chunk starts at a
+# multiple of 64 rows, since OpenBLAS's gemv sums rows in blocks; and no chunk
+# is a single row, which numpy sends to dot rather than gemv.  Successive
+# ``rng.integers`` calls on one generator continue a single index stream.
+_CHUNK_CELLS = 65_536
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -55,10 +62,11 @@ def _draw_contrast_values(
     """z_j = weights . atoms[indices_j] for B index rows drawn sequentially."""
     n = weights.size
     out = np.empty(B)
-    chunk = max(1, _CHUNK_CELLS // max(n, 1))
+    chunk = max(1, _CHUNK_CELLS // n // _BLOCK_ROWS) * _BLOCK_ROWS
     done = 0
     while done < B:
-        take = min(chunk, B - done)
+        # The last chunk absorbs a tail shorter than one block, never one row alone.
+        take = B - done if B - done < chunk + _BLOCK_ROWS else chunk
         idx = rng.integers(0, atoms.size, size=(take, n))
         out[done : done + take] = _kernels.contrast_draws(atoms, weights, idx)
         done += take

@@ -52,6 +52,11 @@ DEFAULT_M_REF = 100_000
 REL_SLACK = 0.05
 ABS_SLACK = 5e-3
 
+# Cells per chunk of fresh noise in check_theorem1.  It does not follow the
+# draw engine's chunk: the scaled-t sampler draws all its normals and then all
+# its chi-square values, so this size fixes the RNG stream.
+_PSI_CHUNK_CELLS = 4_000_000
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -172,7 +177,7 @@ def check_theorem1(
     # Fresh-noise law of the centered contrast error, normalized.
     sampler = noise.sampler()
     psi = np.empty(m_boot, dtype=np.float64)
-    chunk = max(1, int(4_000_000 // max(n, 1)))
+    chunk = max(1, _PSI_CHUNK_CELLS // n)
     done = 0
     while done < m_boot:
         take = min(chunk, m_boot - done)

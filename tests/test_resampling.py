@@ -1,6 +1,10 @@
 """Bootstrap contrast draws, quantiles, and the four interval constructions."""
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +19,9 @@ from ridgeboot.errors import (
 from ridgeboot.linmodel import Dataset, DesignFactorization
 from ridgeboot.mallows import EmpiricalDistribution, d2_empirical
 from ridgeboot.resampling import (
+    _CHUNK_CELLS,
+    _BLOCK_ROWS,
+    _draw_contrast_values,
     ci_normal,
     ci_ols_rb,
     ci_ridge_rb,
@@ -104,6 +111,52 @@ def test_draws_scale_equivariance():
     da = rb_contrast_draws(data, c, 1.0, 1.0, 500, rng_a)
     db = rb_contrast_draws(scaled, c, 1.0, 1.0, 500, rng_b)
     np.testing.assert_allclose(db, 2.0 * da, rtol=1e-12)
+
+
+def _chunking_mismatches():
+    """(n, B) cases where chunked draws differ from one unchunked draw."""
+    bad = []
+    for n in (1, 3, 10, 40, 95, 100, 240, 300, 1000, 1025):
+        rng = np.random.default_rng(n)
+        atoms = rng.standard_normal(n + 6)
+        weights = rng.standard_normal(n)
+        chunk = max(1, _CHUNK_CELLS // n // _BLOCK_ROWS) * _BLOCK_ROWS
+        tails = {k * chunk + r for k in (1, 2) for r in (-1, 0, 1, 2, 63, 64, 65)}
+        for B in sorted({1, 2, 500, 2000} | tails):
+            g = np.random.default_rng([n, B])
+            h = np.random.default_rng([n, B])
+            z = _draw_contrast_values(atoms, weights, B, g)
+            ref = atoms[h.integers(0, atoms.size, (B, n))] @ weights
+            if not np.array_equal(z, ref) or g.bit_generator.state != h.bit_generator.state:
+                bad.append((n, B))
+    return bad
+
+
+def test_draws_chunking_is_bit_identical():
+    # Threaded BLAS splits a product's rows between threads, and the split
+    # decides which gemv kernel sums each row, so the unchunked reference has
+    # fixed bits only at a fixed thread count: compare at one BLAS thread.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = "from test_resampling import _chunking_mismatches as f; print(f())"
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+def test_draws_scratch_is_bounded():
+    # B * n = 2,000,000 cells: one unchunked draw holds two 16 MB matrices.
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.standard_normal((100, 5)), rng.standard_normal(100))
+    c = np.ones(5)
+    tracemalloc.start()
+    try:
+        rb_contrast_draws(data, c, 1.0, 1.0, 20_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_zero_contrast_refused():
