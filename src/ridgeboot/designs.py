@@ -8,15 +8,14 @@ empirical-law convergence rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError, MomentConditionError
+from .errors import InputError, MomentConditionError
 from .linmodel import Dataset
 
-_EIGENVALUE_FLOOR = 1e-12
-_NOISE_FAMILIES = ("scaled_t", "normal", "two_point", "custom_atoms")
+NOISE_FAMILIES = ("scaled_t", "normal", "two_point")
 
 
 @dataclass(frozen=True)
@@ -57,33 +56,20 @@ class NoiseSpec:
 
     Families: "scaled_t" (t on `dof` degrees of freedom rescaled to SD sigma,
     dof > 4 so the fourth moment is finite), "normal", "two_point" (equal mass
-    at +-sigma), "custom_atoms" (uniform law on given atoms, recentered and
-    rescaled to SD sigma).
+    at +-sigma).
     """
 
     family: str = "scaled_t"
     sigma: float = 1.0
     dof: float = 5.0
-    atoms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _NOISE_FAMILIES:
+        if self.family not in NOISE_FAMILIES:
             raise InputError(f"unknown noise family {self.family!r}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise InputError("sigma must be a finite nonnegative real")
         if self.family == "scaled_t" and not self.dof > 4:
             raise MomentConditionError("t noise requires dof > 4 for a finite fourth moment")
-        if self.family == "custom_atoms":
-            atoms = np.asarray(self.atoms, dtype=np.float64)
-            if atoms.ndim != 1 or atoms.size < 2 or not np.all(np.isfinite(atoms)):
-                raise InputError("custom_atoms requires >= 2 finite atoms")
-            centered = atoms - atoms.mean()
-            spread = float(np.sqrt(np.mean(centered**2)))
-            if spread == 0.0:
-                raise InputError("custom atoms must not be all equal")
-            object.__setattr__(self, "atoms", centered * (self.sigma / spread))
-        elif self.atoms is not None:
-            raise InputError("atoms are only valid for the custom_atoms family")
 
     def sampler(self):
         """Adapter for the reference-sampler protocol: sampler(rng, size)."""
@@ -125,9 +111,7 @@ def sample_noise(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarra
         return t * (spec.sigma / np.sqrt(spec.dof / (spec.dof - 2.0)))
     if spec.family == "normal":
         return spec.sigma * rng.standard_normal(n)
-    if spec.family == "two_point":
-        return spec.sigma * (2.0 * rng.integers(0, 2, n) - 1.0)
-    return spec.atoms[rng.integers(0, spec.atoms.size, n)]
+    return spec.sigma * (2.0 * rng.integers(0, 2, n) - 1.0)
 
 
 def make_beta(p: int) -> np.ndarray:
@@ -160,25 +144,3 @@ def generate_dataset(
         return Dataset(X=X, Y=X @ beta + eps)
     return Dataset(X=X, Y=X @ beta + eps, beta_true=beta, sigma_true=float(sigma))
 
-
-def estimate_decay(sample_eigenvalues: np.ndarray) -> float:
-    """nu_hat = negative slope of log eigenvalue vs log index.
-
-    The fit uses the leading half of the spectrum (at least 3 values,
-    floor 1e-12): sample eigenvalues past p/2 decay faster than the
-    population profile when p is comparable to n and would bias the
-    slope upward.
-    """
-    lam = np.asarray(sample_eigenvalues, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0:
-        raise InputError("sample_eigenvalues must be a nonempty 1-D sequence")
-    if np.any(np.diff(lam) > 1e-9 * np.abs(lam[:-1])):
-        raise InputError("sample_eigenvalues must be nonincreasing")
-    head = max(3, lam.size // 2)
-    lam = lam[:head]
-    idx = np.arange(1, lam.size + 1, dtype=np.float64)
-    keep = lam > _EIGENVALUE_FLOOR
-    if int(keep.sum()) < 3:
-        raise InsufficientDataError("need at least 3 eigenvalues above the floor")
-    slope = np.polyfit(np.log(idx[keep]), np.log(lam[keep]), 1)[0]
-    return float(-slope)

@@ -27,10 +27,6 @@ class MomentConditionError(RidgebootError):
     """The requested noise family violates the finite-fourth-moment requirement."""
 
 
-class InsufficientDataError(RidgebootError):
-    """Too few usable points for the requested estimate."""
-
-
 class DegenerateDataError(RidgebootError):
     """Data admits no meaningful selection (e.g. every CV score is infinite)."""
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .designs import (
+    NOISE_FAMILIES,
     NoiseSpec,
     generate_dataset,
     make_beta,
@@ -30,15 +31,16 @@ from .errors import ConfigError, DegenerateDataError, RidgebootError
 from .linmodel import Dataset, DesignFactorization, theta_rule
 from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb, pivot_interval
 from .theory import (
+    CheckReport,
     check_design_events,
     check_mspe_link,
+    check_signed_svd,
     check_theorem1,
     check_theorem4,
+    check_wishart,
     lm_tail_check,
     rate_d2_empirical,
     rate_mspe,
-    signed_svd,
-    wishart_square,
 )
 from .tuning import cv_select, default_grid
 
@@ -142,8 +144,8 @@ class ExperimentConfig:
             raise ConfigError("cv_per_design must be 0 or 1")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < (1 << 64)):
             raise ConfigError("seed must be a 64-bit nonnegative integer")
-        if self.noise_family == "custom_atoms":
-            raise ConfigError("custom_atoms noise is not representable in config files")
+        if self.noise_family not in NOISE_FAMILIES:
+            raise ConfigError(f"noise_family must be one of {', '.join(NOISE_FAMILIES)}")
         # Validate the noise family/dof combination eagerly.
         self.noise_spec()
 
@@ -407,43 +409,22 @@ def preset_config(
 
 
 # ---------------------------------------------------------------------------
-# Check suites: canned verification runs behind `ridgeboot check`.
+# Check suites: canned verification runs behind `ridgeboot check`.  A suite is
+# a table of default knobs and a generator of (CheckReport, seed) pairs; every
+# pair becomes one report row.
 
-REPORT_COLUMNS = ("name", "lhs", "rhs", "margin", "holds", "n", "p", "eta", "gamma", "theta", "seed")
+_CASE_COLUMNS = ("n", "p", "eta", "gamma", "theta")
+REPORT_COLUMNS = ("name", "lhs", "rhs", "margin", "holds", *_CASE_COLUMNS, "seed")
 
-CHECK_SUITES = ("theorem1", "mspe-link", "rates", "design-events", "theorem4", "appendix")
 
-
-def _row(name, lhs, rhs, margin, holds, **extra) -> dict:
-    row = {col: "" for col in REPORT_COLUMNS}
-    row.update(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        holds=bool(holds),
-    )
-    for key, value in extra.items():
-        if key not in REPORT_COLUMNS:
-            raise ConfigError(f"unknown report column {key!r}")
-        row[key] = value
+def _report_row(rep: CheckReport, seed: int) -> dict:
+    """The check's outcome, its case's n/p/eta/gamma/theta from ``rep.config``
+    (blank where the check has none), and the seed of the case."""
+    row = {"name": rep.name, "lhs": float(rep.lhs), "rhs": float(rep.rhs),
+           "margin": float(rep.margin), "holds": bool(rep.holds)}
+    row.update((col, rep.config.get(col, "")) for col in _CASE_COLUMNS)
+    row["seed"] = seed
     return row
-
-
-def _report_rows(reports, **extra) -> list:
-    rows = []
-    for rep in reports:
-        cfg = rep.config
-        kwargs = {
-            "n": cfg.get("n", ""),
-            "p": cfg.get("p", ""),
-            "eta": cfg.get("eta", ""),
-            "gamma": cfg.get("gamma", ""),
-            "theta": cfg.get("theta", ""),
-        }
-        kwargs.update(extra)
-        rows.append(_row(rep.name, rep.lhs, rep.rhs, rep.margin, rep.holds, **kwargs))
-    return rows
 
 
 def write_report(rows: Sequence[Mapping], path: str) -> None:
@@ -488,7 +469,7 @@ def _sweep_cases(seed: int, count: int):
             c = X[int(gen.integers(0, n))].copy()
         else:
             c = gen.standard_normal(p)
-        yield k, child, data, noise, c, rho, pilot, gen
+        yield child, data, noise, c, rho, pilot, gen
 
 
 def _setting_case(index: int, seed: int = 1):
@@ -504,94 +485,43 @@ def _setting_case(index: int, seed: int = 1):
     return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen, fact
 
 
-def _doubling(lo: int, hi: int) -> list:
-    """lo, 2 lo, 4 lo, ... up to the first value at or above hi."""
+def _geometric(lo: int, hi: int, factor: int) -> list:
+    """lo, factor lo, factor^2 lo, ... up to the first value at or above hi."""
     grid = [lo]
     while grid[-1] < hi:
-        grid.append(grid[-1] * 2)
+        grid.append(grid[-1] * factor)
     return grid
 
 
-def _merge_overrides(defaults: dict, overrides: Optional[Mapping]) -> dict:
-    kinds = {key: type(value) for key, value in defaults.items()}
-    return {**defaults, **_typed(overrides or {}, kinds, "override")}
-
-
-def _suite_theorem1(seed: int, overrides: Optional[Mapping]) -> list:
-    knobs = _merge_overrides(
-        {"sweep": 200, "m_boot": 20000, "m_ref": 50000, "settings_m": 400000, "include_settings": 1},
-        overrides,
-    )
-    rows = []
-    for k, child, data, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
-        rep = check_theorem1(
-            data, noise, c, rho, pilot, gen, m_boot=knobs["m_boot"], m_ref=knobs["m_ref"]
-        )
-        rows.extend(_report_rows([rep], seed=child))
+def _suite_theorem1(seed: int, knobs: dict):
+    for child, data, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
+        yield check_theorem1(data, noise, c, rho, pilot, gen,
+                             m_boot=knobs["m_boot"], m_ref=knobs["m_ref"]), child
     if knobs["include_settings"]:
         for index in (1, 2, 3, 4):
             name, data, noise, c, rho, pilot, gen, fact = _setting_case(index, seed=1)
             rep = check_theorem1(data, noise, c, rho, pilot, gen, m_boot=knobs["settings_m"],
                                  m_ref=knobs["settings_m"], fact=fact)
-            row = _report_rows([rep], seed=1)[0]
-            row["name"] = f"theorem1[{name}]"
-            rows.append(row)
-    return rows
+            yield replace(rep, name=f"theorem1[{name}]"), 1
 
 
-def _suite_mspe_link(seed: int, overrides: Optional[Mapping]) -> list:
-    knobs = _merge_overrides({"sweep": 200, "reps": 12, "m_ref": 20000}, overrides)
-    rows = []
-    for k, child, data, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
-        estimators = ["ridge", "perfect"]
-        if data.p < data.n:
-            estimators.insert(1, "ols")
+def _suite_mspe_link(seed: int, knobs: dict):
+    for child, data, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
+        estimators = ("ridge", "ols", "perfect") if data.p < data.n else ("ridge", "perfect")
         for estimator in estimators:
-            rep = check_mspe_link(
-                data, noise, estimator, knobs["reps"], gen,
-                varrho=pilot if estimator == "ridge" else None,
-                m_ref=knobs["m_ref"],
-            )
-            rows.extend(_report_rows([rep], seed=child))
-    return rows
+            yield check_mspe_link(data, noise, estimator, knobs["reps"], gen, varrho=pilot,
+                                  m_ref=knobs["m_ref"]), child
 
 
-def _rate_rows(name: str, est, **extra) -> list:
-    """One report row for a slope fit; a one-sided band (-inf, hi] reports
-    margin hi - slope, a two-sided band its halfwidth minus the deviation."""
-    lo, hi = est.band
-    if np.isfinite(lo):
-        margin = (hi - lo) / 2.0 - abs(est.fitted_slope - est.target_slope)
-    else:
-        margin = hi - est.fitted_slope
-    return [
-        _row(
-            name,
-            est.fitted_slope,
-            est.target_slope,
-            margin,
-            est.within_band,
-            **extra,
-        )
-    ]
-
-
-def _suite_rates(seed: int, overrides: Optional[Mapping]) -> list:
-    knobs = _merge_overrides(
-        {"mspe_trials": 20, "d2_trials": 30, "d2_m_ref": 100000, "n_max": 1024, "d2_n_max": 10000},
-        overrides,
-    )
-    rows = []
-    grid = _doubling(64, knobs["n_max"])
+def _suite_rates(seed: int, knobs: dict):
+    grid = _geometric(64, knobs["n_max"], 2)
     for nu in (0.3, 1.0, 2.0):
         gen = np.random.default_rng(seed_split(seed, (201, int(nu * 10))))
         est = rate_mspe(nu, grid, knobs["mspe_trials"], gen)
-        rows.extend(_rate_rows("rate_mspe", est, eta=nu, theta=theta_rule(nu), seed=seed))
+        yield est.report("rate_mspe", eta=nu, theta=theta_rule(nu)), seed
     # The default d2 grid stops at d2_m_ref / 10, so the reference
     # sample's own error does not flatten the last decade of the fit.
-    d2_grid = [100]
-    while d2_grid[-1] < knobs["d2_n_max"]:
-        d2_grid.append(d2_grid[-1] * 10)
+    d2_grid = _geometric(100, knobs["d2_n_max"], 10)
     for pos, (label, noise) in enumerate(
         (
             ("normal", NoiseSpec(family="normal", sigma=1.0)),
@@ -600,128 +530,57 @@ def _suite_rates(seed: int, overrides: Optional[Mapping]) -> list:
     ):
         gen = np.random.default_rng(seed_split(seed, (202, pos)))
         est = rate_d2_empirical(noise, d2_grid, knobs["d2_trials"], gen, m_ref=knobs["d2_m_ref"])
-        rows.extend(_rate_rows(f"rate_d2_{label}", est, seed=seed))
-    return rows
+        yield est.report(f"rate_d2_{label}"), seed
 
 
-def _suite_design_events(seed: int, overrides: Optional[Mapping]) -> list:
-    knobs = _merge_overrides({"trials": 100, "n_min": 200, "n_max": 800}, overrides)
-    grid = _doubling(knobs["n_min"], knobs["n_max"])
+def _suite_design_events(seed: int, knobs: dict):
+    grid = _geometric(knobs["n_min"], knobs["n_max"], 2)
     gen = np.random.default_rng(seed_split(seed, (301,)))
-    reports = check_design_events(1.0, 0.6, theta_rule(1.0), grid, knobs["trials"], gen)
-    return _report_rows(reports, seed=seed)
+    for rep in check_design_events(1.0, 0.6, theta_rule(1.0), grid, knobs["trials"], gen):
+        yield rep, seed
 
 
-def _suite_theorem4(seed: int, overrides: Optional[Mapping]) -> list:
-    knobs = _merge_overrides({"design_trials": 15, "noise_reps": 2000, "n_min": 50, "n_max": 200}, overrides)
-    grid = _doubling(knobs["n_min"], knobs["n_max"])
+def _suite_theorem4(seed: int, knobs: dict):
+    grid = _geometric(knobs["n_min"], knobs["n_max"], 2)
     gen = np.random.default_rng(seed_split(seed, (401,)))
-    eta, gamma = 1.0, 0.55
-    est = check_theorem4(
-        eta, gamma, theta_rule(eta), grid, knobs["design_trials"], knobs["noise_reps"], gen
-    )
-    rows = []
-    prev = None
-    for n, value in zip(est.n_grid, est.values):
-        rhs = prev if prev is not None else value
-        rows.append(
-            _row(
-                "theorem4_median",
-                value,
-                rhs,
-                rhs - value,
-                value < rhs or prev is None,
-                n=n,
-                eta=eta,
-                gamma=gamma,
-                theta=theta_rule(eta),
-                seed=seed,
-            )
-        )
-        prev = value
-    rows.append(
-        _row(
-            "theorem4_trend",
-            est.fitted_slope,
-            0.0,
-            -est.fitted_slope,
-            est.strictly_decreasing,
-            eta=eta,
-            gamma=gamma,
-            theta=theta_rule(eta),
-            seed=seed,
-        )
-    )
-    return rows
+    eta, gamma, theta = 1.0, 0.55, theta_rule(1.0)
+    est = check_theorem4(eta, gamma, theta, grid, knobs["design_trials"], knobs["noise_reps"], gen)
+    for rep in est.trend_reports("theorem4", eta=eta, gamma=gamma, theta=theta):
+        yield rep, seed
 
 
-def _suite_appendix(seed: int, overrides: Optional[Mapping]) -> list:
-    knobs = _merge_overrides(
-        {"wishart_mc": 40000, "svd_matrices": 10000, "lm_trials": 100000},
-        overrides,
-    )
-    rows = []
+def _suite_appendix(seed: int, knobs: dict):
     gen = np.random.default_rng(seed_split(seed, (501,)))
-
-    # Fourth-moment identity, scalar case: E[x^4] = 3 for standard normal.
-    closed, _ = wishart_square(np.eye(1), 1, 1, gen)
-    rows.append(
-        _row("wishart_scalar", float(closed[0, 0]), 3.0, 3.0 - float(closed[0, 0]),
-             abs(float(closed[0, 0]) - 3.0) < 1e-12, n=1, p=1, seed=seed)
-    )
-    # Monte Carlo agreement on a random covariance.
-    G = gen.standard_normal((3, 3))
-    Sigma = G @ G.T / 3.0
-    closed, mc = wishart_square(Sigma, 5, knobs["wishart_mc"], gen)
-    rel = float(np.linalg.norm(mc - closed) / np.linalg.norm(closed))
-    rows.append(_row("wishart_mc", rel, 0.02, 0.02 - rel, rel <= 0.02, n=5, p=3, seed=seed))
-
-    # Factorization reconstruction quality.
-    worst = 0.0
-    for _ in range(50):
-        Z = gen.standard_normal((20, 8))
-        H, L, Gf = signed_svd(Z)
-        err = float(np.linalg.norm(H @ L @ Gf.T - Z) / np.linalg.norm(Z))
-        worst = max(worst, err)
-    rows.append(_row("signed_svd_reconstruct", worst, 1e-10, 1e-10 - worst, worst <= 1e-10,
-                     n=20, p=8, seed=seed))
-
-    # First-row mass of the left factor concentrates at p/n.
-    total = 0.0
-    reps = knobs["svd_matrices"]
-    for _ in range(reps):
-        Z = gen.standard_normal((10, 4))
-        H, _, _ = signed_svd(Z)
-        total += float(H[0] @ H[0])
-    dev = abs(total / reps - 0.4)
-    rows.append(_row("signed_svd_row_mass", dev, 0.01, 0.01 - dev, dev <= 0.01,
-                     n=10, p=4, seed=seed))
-
-    # Quadratic-form tail bounds.
-    reports = lm_tail_check(np.eye(5), (1.0,), knobs["lm_trials"], gen)
+    reports = check_wishart(knobs["wishart_mc"], gen)
+    reports += check_signed_svd(knobs["svd_matrices"], gen)
+    tails = lm_tail_check(np.eye(5), (1.0,), knobs["lm_trials"], gen)
     G = gen.standard_normal((8, 8))
-    A = G @ G.T / 8.0
-    reports += lm_tail_check(A, (0.5, 1.0, 2.0, 4.0), knobs["lm_trials"], gen)
+    tails += lm_tail_check(G @ G.T / 8.0, (0.5, 1.0, 2.0, 4.0), knobs["lm_trials"], gen)
+    reports += [replace(rep, name=f"{rep.name}[t={rep.config['t']:g}]") for rep in tails]
     for rep in reports:
-        row = _report_rows([rep], seed=seed)[0]
-        row["name"] = f"{rep.name}[t={rep.config['t']:g}]"
-        row["n"] = rep.config["dim"]
-        rows.append(row)
-    return rows
+        yield rep, seed
 
 
-_SUITE_RUNNERS = {
-    "theorem1": _suite_theorem1,
-    "mspe-link": _suite_mspe_link,
-    "rates": _suite_rates,
-    "design-events": _suite_design_events,
-    "theorem4": _suite_theorem4,
-    "appendix": _suite_appendix,
+_SUITES = {
+    "theorem1": (_suite_theorem1, {"sweep": 200, "m_boot": 20000, "m_ref": 50000,
+                                   "settings_m": 400000, "include_settings": 1}),
+    "mspe-link": (_suite_mspe_link, {"sweep": 200, "reps": 12, "m_ref": 20000}),
+    "rates": (_suite_rates, {"mspe_trials": 20, "d2_trials": 30, "d2_m_ref": 100000,
+                             "n_max": 1024, "d2_n_max": 10000}),
+    "design-events": (_suite_design_events, {"trials": 100, "n_min": 200, "n_max": 800}),
+    "theorem4": (_suite_theorem4, {"design_trials": 15, "noise_reps": 2000,
+                                   "n_min": 50, "n_max": 200}),
+    "appendix": (_suite_appendix, {"wishart_mc": 40000, "svd_matrices": 10000,
+                                   "lm_trials": 100000}),
 }
+CHECK_SUITES = tuple(_SUITES)
 
 
 def run_check_suite(suite: str, seed: int, overrides: Optional[Mapping] = None) -> list:
     """Run one named verification suite; returns report rows for the CSV."""
-    if suite not in _SUITE_RUNNERS:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(_SUITE_RUNNERS)}")
-    return _SUITE_RUNNERS[suite](int(seed), overrides)
+    if suite not in _SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
+    runner, defaults = _SUITES[suite]
+    kinds = {key: type(value) for key, value in defaults.items()}
+    knobs = {**defaults, **_typed(overrides or {}, kinds, "override")}
+    return [_report_row(rep, row_seed) for rep, row_seed in runner(int(seed), knobs)]

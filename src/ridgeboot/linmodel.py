@@ -70,10 +70,6 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def simulation_mode(self) -> bool:
-        return self.beta_true is not None
-
 
 @dataclass(frozen=True)
 class RidgeFit:
@@ -103,15 +99,17 @@ class DesignFactorization:
             return False
         return bool(self.s[-1] > _RANK_RTOL * max(self.s[0], 1e-300))
 
+    def _check_rho(self, rho: float) -> None:
+        """A penalty is finite and nonnegative; rho = 0 needs full column rank."""
+        if not (np.isfinite(rho) and rho >= 0):
+            raise InputError(f"rho must be a finite nonnegative real, got {rho}")
+        if rho == 0.0 and not self.full_column_rank:
+            raise SingularSystemError("rho = 0 requires a full-column-rank design with p <= n")
+
     def gain(self, rho: float) -> np.ndarray:
         """Ridge filter s_i / (s_i^2 + rho): the diagonal of (X^T X + rho I)^{-1} X^T."""
-        if rho < 0:
-            raise InputError("rho must be nonnegative")
+        self._check_rho(rho)
         if rho == 0.0:
-            if not self.full_column_rank:
-                raise SingularSystemError(
-                    "rho = 0 requires a full-column-rank design with p <= n"
-                )
             return 1.0 / self.s
         return self.s / (self.s * self.s + rho)
 
@@ -127,13 +125,8 @@ class DesignFactorization:
 
     def shrinkage_diag(self, rho: float) -> np.ndarray:
         """Diagonal factors s_i^2 / (s_i^2 + rho) of the prediction smoother."""
-        if rho < 0:
-            raise InputError("rho must be nonnegative")
+        self._check_rho(rho)
         if rho == 0.0:
-            if not self.full_column_rank:
-                raise SingularSystemError(
-                    "rho = 0 requires a full-column-rank design with p <= n"
-                )
             return np.ones_like(self.s)
         return self.s * self.s / (self.s * self.s + rho)
 
@@ -150,8 +143,6 @@ class DesignFactorization:
 
 def ridge_fit(data: Dataset, rho: float, fact: DesignFactorization | None = None) -> RidgeFit:
     """Ridge solution at raw penalty rho; rho = 0 demands full column rank."""
-    if not np.isfinite(rho) or rho < 0:
-        raise InputError("rho must be a finite nonnegative real")
     if fact is None:
         fact = DesignFactorization(data.X)
     coef = fact.coefficients(data.Y, float(rho))
@@ -165,8 +156,6 @@ def contrast_variance(
 ) -> float:
     """v_rho(X;c) = sigma^2 * ||c^T (X^T X + rho I)^{-1} X^T||_2^2."""
     c = _as_vector(c, fact.p, "c")
-    if not np.isfinite(rho) or rho < 0:
-        raise InputError("rho must be a finite nonnegative real")
     if not (np.isfinite(sigma_sq) and sigma_sq > 0):
         raise InputError("sigma_sq must be positive")
     a = fact.contrast_weights(c, float(rho))
@@ -219,12 +208,6 @@ def theta_rule(nu: float) -> float:
     if nu > 0.5:
         return nu / (nu + 1.0)
     return 1.0 / 3.0
-
-
-def write_matrix_csv(path: str, arr: np.ndarray) -> None:
-    """Headerless CSV writer; 17 significant digits round-trip float64 exactly."""
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    np.savetxt(path, arr, delimiter=",", fmt="%.17g")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

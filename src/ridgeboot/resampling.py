@@ -49,9 +49,6 @@ class ConfidenceInterval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
 
 def _draw_contrast_values(
     atoms: np.ndarray,

@@ -35,7 +35,9 @@ __all__ = [
     "check_design_events",
     "check_theorem4",
     "wishart_square",
+    "check_wishart",
     "signed_svd",
+    "check_signed_svd",
     "lm_tail_check",
 ]
 
@@ -52,6 +54,16 @@ DEFAULT_M_REF = 100_000
 REL_SLACK = 0.05
 ABS_SLACK = 5e-3
 
+# Fixed shape of the random-design checks: p = n / 2 columns, unit noise
+# variance in the exact prediction error, and the theorem-4 noise law.
+_DESIGN_RATIO = 0.5
+_SIGMA_SQ = 1.0
+_THEOREM4_NOISE = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
+# Halfwidth of the slope band of the rate fits.
+_BAND_HALFWIDTH = 0.15
+# The design-event constants are this multiple of the worst calibration ratio.
+_KAPPA_SAFETY = 1.1
+
 # Cells per chunk of fresh noise in check_theorem1.  It does not follow the
 # draw engine's chunk: the scaled-t sampler draws all its normals and then all
 # its chi-square values, so this size fixes the RNG stream.
@@ -62,8 +74,11 @@ _PSI_CHUNK_CELLS = 4_000_000
 class CheckReport:
     """Outcome of one inequality check.
 
-    ``holds`` records whether ``lhs <= rhs`` up to the slack stored in
-    ``config``; ``margin`` is ``rhs - lhs`` so positive means comfortable.
+    ``holds`` records whether the check passed, as a rule of the check
+    (``lhs <= rhs`` up to its slack for the inequalities); ``margin`` is
+    positive when it passed comfortably.  ``config`` holds the parameters of
+    the case; its ``n``, ``p``, ``eta``, ``gamma`` and ``theta`` entries are
+    the columns of a report row.
     """
 
     name: str
@@ -106,6 +121,34 @@ class RateEstimate:
         v = self.values
         return all(v[i + 1] < v[i] for i in range(len(v) - 1))
 
+    def report(self, name: str, **config) -> CheckReport:
+        """The slope fit as a check of the fitted slope against the target.
+
+        A one-sided band (-inf, hi] reports margin hi - slope, a two-sided
+        band its halfwidth minus the deviation from the target.
+        """
+        lo, hi = self.band
+        if np.isfinite(lo):
+            margin = (hi - lo) / 2.0 - abs(self.fitted_slope - self.target_slope)
+        else:
+            margin = hi - self.fitted_slope
+        return CheckReport(name, self.fitted_slope, self.target_slope, margin, self.within_band, config)
+
+    def trend_reports(self, name: str, **config) -> list:
+        """One ``<name>_median`` check per grid point, that its value is below the
+        previous one (the first holds trivially), and the ``<name>_trend``
+        check that the sequence strictly decreases, with margin -slope."""
+        reports = []
+        prev = None
+        for n, value in zip(self.n_grid, self.values):
+            rhs = value if prev is None else prev
+            reports.append(CheckReport(f"{name}_median", value, rhs, rhs - value,
+                                       prev is None or value < rhs, {**config, "n": n}))
+            prev = value
+        reports.append(CheckReport(f"{name}_trend", self.fitted_slope, 0.0, -self.fitted_slope,
+                                   self.strictly_decreasing, config))
+        return reports
+
 
 def _fit_slope(n_grid: Sequence[float], values: Sequence[float]) -> float:
     logs_n = np.log(np.asarray(n_grid, dtype=np.float64))
@@ -123,10 +166,10 @@ def _as_grid(n: Union[int, Sequence[int]]) -> tuple:
     return grid
 
 
-def _draw_design(size: int, ratio: float, eta: float, gen: np.random.Generator) -> tuple:
-    """Factorized design with p = max(2, floor(ratio * size)) columns drawn from
+def _draw_design(size: int, eta: float, gen: np.random.Generator) -> tuple:
+    """Factorized design with p = max(2, floor(size / 2)) columns drawn from
     the power-law covariance j^(-eta), and the unit-norm coefficient vector."""
-    p = max(2, int(math.floor(ratio * size)))
+    p = max(2, int(math.floor(_DESIGN_RATIO * size)))
     X = sample_design(size, make_covariance(p, eta, gen), gen)
     return DesignFactorization(X), make_beta(p)
 
@@ -140,8 +183,6 @@ def check_theorem1(
     rng: np.random.Generator,
     m_boot: int = DEFAULT_M_BOOT,
     m_ref: int = DEFAULT_M_REF,
-    rel_slack: float = REL_SLACK,
-    abs_slack: float = ABS_SLACK,
     fact: DesignFactorization | None = None,
 ) -> CheckReport:
     """Compare the bootstrap law of a contrast error against its transfer bound.
@@ -202,7 +243,7 @@ def check_theorem1(
     resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
     rhs = (resid_gap * resid_gap) / sigma_sq + bias_sq / v
 
-    tol = rel_slack * rhs + abs_slack
+    tol = REL_SLACK * rhs + ABS_SLACK
     return CheckReport(
         name="theorem1",
         lhs=lhs_sq,
@@ -216,8 +257,6 @@ def check_theorem1(
             "pilot_rho": float(pilot_rho),
             "m_boot": int(m_boot),
             "m_ref": int(m_ref),
-            "rel_slack": float(rel_slack),
-            "abs_slack": float(abs_slack),
         },
     )
 
@@ -230,8 +269,6 @@ def check_mspe_link(
     rng: np.random.Generator,
     varrho: Optional[float] = None,
     m_ref: int = DEFAULT_M_REF,
-    rel_slack: float = REL_SLACK,
-    abs_slack: float = ABS_SLACK,
 ) -> CheckReport:
     """Check that residual-law error is controlled by prediction error.
 
@@ -288,7 +325,7 @@ def check_mspe_link(
 
     lhs = lhs_acc / reps
     rhs = 2.0 * mspe + 2.0 * (raw_acc / reps) + 2.0 * sigma_sq / n
-    tol = rel_slack * rhs + abs_slack
+    tol = REL_SLACK * rhs + ABS_SLACK
     return CheckReport(
         name=f"mspe_link_{estimator}",
         lhs=lhs,
@@ -303,8 +340,6 @@ def check_mspe_link(
             "reps": int(reps),
             "m_ref": int(m_ref),
             "mspe": float(mspe),
-            "rel_slack": float(rel_slack),
-            "abs_slack": float(abs_slack),
         },
     )
 
@@ -314,13 +349,10 @@ def rate_mspe(
     n_grid: Sequence[int],
     trials: int,
     rng: np.random.Generator,
-    ratio: float = 0.5,
-    sigma_sq: float = 1.0,
-    band_halfwidth: float = 0.15,
 ) -> RateEstimate:
     """Measure how fast exact prediction error decays under the tuned penalty.
 
-    For each n the design has p = floor(ratio * n) columns with
+    For each n the design has p = floor(n / 2) columns with
     eigenvalue decay exponent ``nu``, the penalty is n^(1 - theta) with
     theta chosen by the standard rule, and the exact conditional
     prediction error is averaged over fresh designs.  The fitted log-log
@@ -340,8 +372,8 @@ def rate_mspe(
         varrho = exponent_to_penalty(n, theta)
         acc = 0.0
         for _ in range(trials):
-            fact, beta = _draw_design(n, ratio, nu, rng)
-            acc += mspe_exact(fact, beta, varrho, sigma_sq)
+            fact, beta = _draw_design(n, nu, rng)
+            acc += mspe_exact(fact, beta, varrho, _SIGMA_SQ)
         values.append(acc / trials)
     slope = _fit_slope(grid, values)
     if nu < 0.5:
@@ -355,7 +387,7 @@ def rate_mspe(
         values=tuple(values),
         fitted_slope=slope,
         target_slope=target,
-        band=(target - band_halfwidth, target + band_halfwidth),
+        band=(target - _BAND_HALFWIDTH, target + _BAND_HALFWIDTH),
     )
 
 
@@ -365,7 +397,6 @@ def rate_d2_empirical(
     trials: int,
     rng: np.random.Generator,
     m_ref: int = DEFAULT_M_REF,
-    band_halfwidth: float = 0.15,
 ) -> RateEstimate:
     """Measure the decay of E d2^2(F_n, F) against the log(n) n^(-1/2) envelope.
 
@@ -378,7 +409,7 @@ def rate_d2_empirical(
     n^(-1) up to a log log n factor, and for t noise on nu degrees of
     freedom like n^(-(1 - 2/nu)), which is n^(-0.6) at nu = 5 (Bobkov &
     Ledoux 2019).  The band is therefore one-sided, (-inf, -1/2 +
-    band_halfwidth]: the check holds when the distance decays at least
+    0.15]: the check holds when the distance decays at least
     about as fast as the envelope.  A sample law that differs from the
     noise law leaves E d2^2 at a positive floor, and the slope of
     E d2^2 / log n then tends to about -0.15, outside the band; on a
@@ -410,7 +441,7 @@ def rate_d2_empirical(
         values=tuple(values),
         fitted_slope=slope,
         target_slope=target,
-        band=(float("-inf"), target + band_halfwidth),
+        band=(float("-inf"), target + _BAND_HALFWIDTH),
     )
 
 
@@ -434,9 +465,6 @@ def check_design_events(
     n: Union[int, Sequence[int]],
     trials: int,
     rng: np.random.Generator,
-    ratio: float = 0.5,
-    sigma_sq: float = 1.0,
-    safety: float = 1.1,
     threshold: float = 0.95,
 ) -> list:
     """Estimate how often random designs satisfy the high-probability events.
@@ -448,7 +476,7 @@ def check_design_events(
       with the penalty rho = n^(1-gamma); the constant is explicit, no
       calibration involved.
     * variance: max_i 1 / v_i <= kappa * n^(1 - gamma/eta); kappa is set
-      to ``safety`` times the worst observed ratio at the smallest grid
+      to 1.1 times the worst observed ratio at the smallest grid
       size on an independent calibration batch, then frozen.
     * mspe: exact prediction error at varrho = n^(1-theta) stays below a
       calibrated multiple of its reference decay n^(-r), with r derived
@@ -467,13 +495,13 @@ def check_design_events(
     _, var_rate, mspe_rate = _event_rates(eta, gamma, theta)
 
     def stats(size: int, gen: np.random.Generator):
-        fact, beta = _draw_design(size, ratio, eta, gen)
+        fact, beta = _draw_design(size, eta, gen)
         rho = exponent_to_penalty(size, gamma)
         varrho = exponent_to_penalty(size, theta)
         bias_max = float(np.max((fact.X @ fact.bias_vector(beta, rho)) ** 2))
-        per_row = sigma_sq * np.sum((fact.U * (fact.s * fact.gain(rho))) ** 2, axis=1)
+        per_row = _SIGMA_SQ * np.sum((fact.U * (fact.s * fact.gain(rho))) ** 2, axis=1)
         inv_var_max = float(np.max(1.0 / per_row))
-        mspe = mspe_exact(fact, beta, varrho, sigma_sq)
+        mspe = mspe_exact(fact, beta, varrho, _SIGMA_SQ)
         norm_sq = float(beta @ beta)
         return bias_max, inv_var_max, mspe, norm_sq
 
@@ -485,8 +513,8 @@ def check_design_events(
         _, inv_var_max, mspe, _ = stats(n0, rng)
         var_ratios.append(inv_var_max / n0 ** var_rate)
         mspe_ratios.append(mspe / n0 ** (-mspe_rate))
-    kappa_var = safety * max(var_ratios)
-    kappa_mspe = safety * max(mspe_ratios)
+    kappa_var = _KAPPA_SAFETY * max(var_ratios)
+    kappa_mspe = _KAPPA_SAFETY * max(mspe_ratios)
 
     reports = []
     base_config = {
@@ -494,8 +522,6 @@ def check_design_events(
         "gamma": float(gamma),
         "theta": float(theta),
         "trials": int(trials),
-        "ratio": float(ratio),
-        "sigma_sq": float(sigma_sq),
         "kappa_var": float(kappa_var),
         "kappa_mspe": float(kappa_mspe),
     }
@@ -535,8 +561,6 @@ def check_theorem4(
     design_trials: int,
     noise_reps: int,
     rng: np.random.Generator,
-    noise: Optional[NoiseSpec] = None,
-    ratio: float = 0.5,
 ) -> RateEstimate:
     """Track the worst-row normalized bootstrap error across sample sizes.
 
@@ -560,12 +584,8 @@ def check_theorem4(
         raise InputError("trend check needs at least two sample sizes")
     if design_trials < 1 or noise_reps < 2:
         raise InputError("need at least one design and two noise draws")
-    if noise is None:
-        noise = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
-    if noise.sigma <= 0:
-        raise InputError("noise scale must be positive for this check")
-    sampler = noise.sampler()
-    sigma_sq = noise.sigma ** 2
+    sampler = _THEOREM4_NOISE.sampler()
+    sigma_sq = _THEOREM4_NOISE.sigma ** 2
 
     child_seeds = rng.integers(0, 2**63, size=(len(grid), design_trials, 2))
 
@@ -577,7 +597,7 @@ def check_theorem4(
         for d in range(design_trials):
             gen_design = np.random.default_rng(child_seeds[gi, d, 0])
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
-            fact, beta = _draw_design(size, ratio, eta, gen_design)
+            fact, beta = _draw_design(size, eta, gen_design)
             eps = sampler(gen_design, size)
             X = fact.X
 
@@ -650,6 +670,25 @@ def wishart_square(
     return closed, acc / mc_samples
 
 
+def check_wishart(mc_samples: int, rng: np.random.Generator) -> list:
+    """Check the closed form of E[Sigma_hat^2].
+
+    ``wishart_scalar``: in one dimension with n = 1 it is E[x^4] = 3.
+    ``wishart_mc``: on a random 3 x 3 covariance at n = 5 it agrees with a
+    ``mc_samples``-draw Monte Carlo estimate to 2% in Frobenius norm.
+    """
+    closed, _ = wishart_square(np.eye(1), 1, 1, rng)
+    value = float(closed[0, 0])
+    scalar = CheckReport("wishart_scalar", value, 3.0, 3.0 - value, abs(value - 3.0) < 1e-12,
+                         {"n": 1, "p": 1})
+    G = rng.standard_normal((3, 3))
+    closed, mc = wishart_square(G @ G.T / 3.0, 5, mc_samples, rng)
+    rel = float(np.linalg.norm(mc - closed) / np.linalg.norm(closed))
+    agree = CheckReport("wishart_mc", rel, 0.02, 0.02 - rel, rel <= 0.02,
+                        {"n": 5, "p": 3, "mc_samples": int(mc_samples)})
+    return [scalar, agree]
+
+
 def signed_svd(Z: np.ndarray) -> tuple:
     """Thin SVD with a deterministic sign convention on the right factors.
 
@@ -668,6 +707,31 @@ def signed_svd(Z: np.ndarray) -> tuple:
     G = G * signs
     H = H * signs
     return H, np.diag(l), G
+
+
+def check_signed_svd(matrices: int, rng: np.random.Generator) -> list:
+    """Check the signed SVD on Gaussian matrices.
+
+    ``signed_svd_reconstruct``: H L G^T rebuilds 50 matrices of 20 x 8 to a
+    relative error of 1e-10.  ``signed_svd_row_mass``: over ``matrices``
+    draws of 10 x 4, the mean squared norm of the first row of H is p/n = 0.4
+    to within 0.01.
+    """
+    worst = 0.0
+    for _ in range(50):
+        Z = rng.standard_normal((20, 8))
+        H, L, G = signed_svd(Z)
+        worst = max(worst, float(np.linalg.norm(H @ L @ G.T - Z) / np.linalg.norm(Z)))
+    reconstruct = CheckReport("signed_svd_reconstruct", worst, 1e-10, 1e-10 - worst,
+                              worst <= 1e-10, {"n": 20, "p": 8})
+    total = 0.0
+    for _ in range(matrices):
+        H, _, _ = signed_svd(rng.standard_normal((10, 4)))
+        total += float(H[0] @ H[0])
+    dev = abs(total / matrices - 0.4)
+    row_mass = CheckReport("signed_svd_row_mass", dev, 0.01, 0.01 - dev, dev <= 0.01,
+                           {"n": 10, "p": 4, "matrices": int(matrices)})
+    return [reconstruct, row_mass]
 
 
 def lm_tail_check(
@@ -724,7 +788,7 @@ def lm_tail_check(
                     rhs=bound,
                     margin=bound - freq,
                     holds=freq <= limit,
-                    config={"t": t, "trials": int(trials), "dim": int(p), "se": se},
+                    config={"t": t, "trials": int(trials), "n": int(p), "se": se},
                 )
             )
     return reports

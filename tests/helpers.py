@@ -1,11 +1,24 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and the reduced check knobs.
 
-Everything in here recomputes a target quantity by a route the library
+Every oracle here recomputes a target quantity by a route the library
 never uses, so agreement is evidence rather than tautology.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+
+# Knobs that run each check suite in about a second, for tests of the
+# report plumbing and of rerun determinism.
+REDUCED_KNOBS = {
+    "theorem1": {"sweep": 8, "m_boot": 2000, "m_ref": 4000,
+                 "settings_m": 2000, "include_settings": 0},
+    "mspe-link": {"sweep": 6, "reps": 3, "m_ref": 4000},
+    "rates": {"mspe_trials": 2, "d2_trials": 3, "d2_m_ref": 5000,
+              "n_max": 128, "d2_n_max": 1000},
+    "design-events": {"trials": 8, "n_min": 100, "n_max": 200},
+    "theorem4": {"design_trials": 3, "noise_reps": 200, "n_min": 50, "n_max": 100},
+    "appendix": {"wishart_mc": 500, "svd_matrices": 100, "lm_trials": 2000},
+}
 
 
 def w2sq_lp(x, y):

@@ -27,7 +27,7 @@ from ridgeboot.harness import (
 )
 from ridgeboot.mallows import EmpiricalDistribution, d2_empirical
 
-from helpers import w2sq_lp
+from helpers import REDUCED_KNOBS, w2sq_lp
 
 
 def _line(number, name, ok, detail=""):
@@ -274,18 +274,6 @@ def test_criterion_09_matrix_oracles():
 # ---------------------------------------------------------------------------
 # criterion 10: byte-identical reruns across thread counts
 
-_REDUCED_KNOBS = {
-    "theorem1": {"sweep": 8, "m_boot": 2000, "m_ref": 4000,
-                 "settings_m": 2000, "include_settings": 0},
-    "mspe-link": {"sweep": 6, "reps": 3, "m_ref": 4000},
-    "rates": {"mspe_trials": 2, "d2_trials": 3, "d2_m_ref": 5000,
-              "n_max": 128, "d2_n_max": 1000},
-    "design-events": {"trials": 8, "n_min": 100, "n_max": 200},
-    "theorem4": {"design_trials": 3, "noise_reps": 200, "n_min": 50, "n_max": 100},
-    "appendix": {"wishart_mc": 500, "svd_matrices": 100, "lm_trials": 2000},
-}
-
-
 def test_criterion_10_determinism(tmp_path):
     mismatches = []
 
@@ -302,7 +290,7 @@ def test_criterion_10_determinism(tmp_path):
     for suite in CHECK_SUITES:
         pair = []
         for run in range(2):
-            rows = run_check_suite(suite, 5, overrides=_REDUCED_KNOBS[suite])
+            rows = run_check_suite(suite, 5, overrides=REDUCED_KNOBS[suite])
             path = tmp_path / f"{suite}_{run}.csv"
             write_report(rows, str(path))
             pair.append(path.read_bytes())

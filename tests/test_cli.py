@@ -88,6 +88,10 @@ def test_ci_input_errors(ci_files, tmp_path, capsys):
     np.savetxt(short, np.ones((2, 1)), delimiter=",")
     assert main(_ci_args(design, response, contrast=f"file:{short}")) == 2
     assert "does not match" in capsys.readouterr().err
+    for rho in ("inf", "nan"):
+        for method in ("normal", "ridge_rb"):
+            assert main(_ci_args(design, response, method=method, rho=rho, pilot_rho=1.0)) == 2
+            assert "rho must be a finite nonnegative real" in capsys.readouterr().err
 
 
 def test_ci_missing_file_exit_code(ci_files, capsys):

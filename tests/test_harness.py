@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import ridgeboot
+from helpers import REDUCED_KNOBS
 from ridgeboot.designs import make_covariance, sample_design, sample_noise
 from ridgeboot.errors import ConfigError, RidgebootError
 from ridgeboot.harness import (
-    _rate_rows,
     CHECK_SUITES,
     FIELD_TYPES,
     METHODS,
@@ -116,6 +116,7 @@ def test_config_validation():
         dict(ok, seed=-1),
         dict(ok, seed=1 << 64),
         dict(ok, noise_family="custom_atoms"),
+        dict(ok, noise_family="bogus"),
         dict(ok, grid_min_factor=10.0, grid_max_factor=1.0),
         dict(ok, grid_min_factor=0.0),
     ]
@@ -282,15 +283,16 @@ def test_run_check_suite_rejects_unknowns():
             run_check_suite("mspe-link", 0, overrides={"sweep": value})
 
 
-def test_report_rows_schema(tmp_path):
-    rows = run_check_suite(
-        "appendix", 0,
-        overrides={"wishart_mc": 2000, "svd_matrices": 200, "lm_trials": 5000},
-    )
+@pytest.mark.parametrize("suite", CHECK_SUITES)
+def test_report_rows_schema(suite, tmp_path):
+    rows = run_check_suite(suite, 0, overrides=REDUCED_KNOBS[suite])
     assert rows
     for row in rows:
-        assert set(row) == set(REPORT_COLUMNS)
-        assert isinstance(row["holds"], bool)
+        assert tuple(row) == REPORT_COLUMNS
+        assert all(type(row[col]) is float for col in ("lhs", "rhs", "margin"))
+        assert type(row["holds"]) is bool
+        assert type(row["seed"]) is int
+        assert all(type(row[col]) is int or row[col] == "" for col in ("n", "p"))
     path = tmp_path / "report.csv"
     write_report(rows, str(path))
     lines = path.read_text().splitlines()
@@ -310,9 +312,9 @@ def test_suite_list_is_complete():
 
 
 def test_rate_rows_band_margin():
-    """A one-sided band (-inf, hi] holds at or below hi, fails above it and
-    reports margin hi - slope for any hi, not only hi = 0; a two-sided band
-    reports its halfwidth minus the deviation from the target."""
+    """A rate report with a one-sided band (-inf, hi] holds at or below hi, fails
+    above it and reports margin hi - slope for any hi, not only hi = 0; a
+    two-sided band reports its halfwidth minus the deviation from the target."""
     inf = float("inf")
     cases = (
         ((-inf, -0.35), -1.0, True, 0.65),
@@ -326,10 +328,10 @@ def test_rate_rows_band_margin():
             n_grid=(100, 1000), values=(1.0, 0.5), fitted_slope=slope,
             target_slope=-0.5, band=band,
         )
-        (row,) = _rate_rows("rate_x", est, seed=0)
-        assert row["holds"] is holds
-        assert row["margin"] == pytest.approx(margin)
-        assert (row["lhs"], row["rhs"]) == (slope, -0.5)
+        rep = est.report("rate_x")
+        assert rep.holds is holds
+        assert rep.margin == pytest.approx(margin)
+        assert (rep.lhs, rep.rhs) == (slope, -0.5)
 
 
 # ---------------------------------------------------------------------------
