@@ -9,14 +9,21 @@ output files are plain CSV so downstream tooling needs no Python.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-import numpy as np
+# One BLAS thread unless the user set one, before numpy loads: threaded BLAS
+# splits products and the SVD by thread, so with the default thread count a
+# results file would change with the machine's core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .errors import ConfigError, InputError, RidgebootError
-from .harness import (
+import numpy as np  # noqa: E402
+
+from .errors import ConfigError, InputError, RidgebootError  # noqa: E402
+from .harness import (  # noqa: E402
     CHECK_SUITES,
     FIELD_TYPES,
     REQUIRED_FIELDS,
@@ -30,9 +37,9 @@ from .harness import (
     write_report,
     write_results,
 )
-from .linmodel import Dataset, DesignFactorization, read_matrix_csv, read_vector_csv
-from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb
-from .tuning import cv_select
+from .linmodel import Dataset, DesignFactorization, read_matrix_csv, read_vector_csv  # noqa: E402
+from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb  # noqa: E402
+from .tuning import cv_select  # noqa: E402
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -99,19 +99,28 @@ def sample_design(n: int, cov: CovarianceModel, rng: np.random.Generator) -> np.
 
 
 def sample_noise(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws with mean 0 and standard deviation spec.sigma."""
+    """n i.i.d. draws with mean 0 and standard deviation spec.sigma, in a fresh array."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InputError("n must be a positive integer")
     n = int(n)
+    # Scaled in place, so no n-length temporaries beyond the draws themselves.
     if spec.family == "scaled_t":
         # t draw = normal / sqrt(chi2/dof); Var(t_dof) = dof/(dof-2).
         z = rng.standard_normal(n)
         w = rng.chisquare(spec.dof, n)
-        t = z / np.sqrt(w / spec.dof)
-        return t * (spec.sigma / np.sqrt(spec.dof / (spec.dof - 2.0)))
+        w /= spec.dof
+        np.sqrt(w, out=w)
+        z /= w
+        z *= spec.sigma / np.sqrt(spec.dof / (spec.dof - 2.0))
+        return z
     if spec.family == "normal":
-        return spec.sigma * rng.standard_normal(n)
-    return spec.sigma * (2.0 * rng.integers(0, 2, n) - 1.0)
+        z = rng.standard_normal(n)
+        z *= spec.sigma
+        return z
+    z = 2.0 * rng.integers(0, 2, n)
+    z -= 1.0
+    z *= spec.sigma
+    return z
 
 
 def make_beta(p: int) -> np.ndarray:

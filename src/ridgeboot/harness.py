@@ -11,6 +11,7 @@ independent.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Mapping, Optional, Sequence, get_type_hints
@@ -353,11 +354,14 @@ def read_config(path: str) -> ExperimentConfig:
 
 
 def _config_comment(config: ExperimentConfig) -> str:
-    """``# version=... n=... p=...``: the package version and every config
-    field but ``threads``, which results do not depend on."""
+    """``# version=... n=... p=... blas_threads=...``: the package version, every
+    config field but ``threads``, which results do not depend on, and the BLAS
+    thread count, which they do (``OPENBLAS_NUM_THREADS``, which the CLI sets
+    to 1 before numpy loads unless the user set it; ``default`` if unset)."""
     cells = [f"version={__version__}"]
     cells += [f"{name}={kind(getattr(config, name))}" for name, kind in FIELD_TYPES.items()
               if name != "threads"]
+    cells.append(f"blas_threads={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}")
     return "# " + " ".join(cells) + "\n"
 
 
@@ -366,7 +370,8 @@ def write_results(results: Sequence, path: str) -> None:
 
     ``results`` is a sequence of (setting_label, Table1Result) pairs.  One
     comment line per distinct configuration records it with the package
-    version; no timestamps and no thread count, so reruns are byte-identical.
+    version; no timestamps and no worker-thread count, so reruns with the same
+    BLAS thread count are byte-identical.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(dict.fromkeys(_config_comment(result.config) for _, result in results))

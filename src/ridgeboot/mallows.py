@@ -17,7 +17,8 @@ import numpy as np
 from . import _kernels
 from .errors import InputError
 
-# Sampler protocol: sampler(rng, size) -> 1-D float array of draws from F0.
+# Sampler protocol: sampler(rng, size) -> 1-D float array of draws from F0.  The
+# array must be fresh: the caller may sort it in place.
 ReferenceSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
@@ -84,11 +85,16 @@ def d2_to_reference(
     m_ref: int,
     rng: np.random.Generator,
 ) -> float:
-    """Seeded large-sample proxy for the distance to a continuous reference law."""
+    """Seeded large-sample proxy for the distance to a continuous reference law.
+
+    The sampler's array of m_ref draws is sorted in place and becomes the
+    reference atoms.
+    """
     if m_ref < 1:
         raise InputError("m_ref must be positive")
     draws = np.asarray(reference_sampler(rng, int(m_ref)), dtype=np.float64)
     if draws.ndim != 1 or draws.size != m_ref:
         raise InputError("reference sampler must return m_ref draws")
-    G = EmpiricalDistribution(atoms=np.sort(draws))
+    draws.sort()
+    G = EmpiricalDistribution(atoms=draws)
     return d2_empirical(F, G)

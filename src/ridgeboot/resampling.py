@@ -10,6 +10,7 @@ contrast map a = c^T (X^T X + rho I)^{-1} X^T, computed once per call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,6 +166,12 @@ def ols_sigma_sq_hat(data: Dataset, fact: DesignFactorization | None = None) -> 
     return float(fit.residuals @ fit.residuals) / (data.n - data.p)
 
 
+@functools.lru_cache(maxsize=16)
+def _normal_quantile(q: float) -> float:
+    """Standard normal quantile; a run asks for a few levels, once per response."""
+    return float(norm.ppf(q))
+
+
 def ci_normal(
     data: Dataset,
     c: np.ndarray,
@@ -188,7 +195,7 @@ def ci_normal(
     weights = fact.contrast_weights(c, float(rho))
     tau = math.sqrt(sigma_sq * float(weights @ weights))
     point = float(weights @ data.Y)
-    z = float(norm.ppf((1.0 + level) / 2.0))
+    z = _normal_quantile((1.0 + level) / 2.0)
     return ConfidenceInterval(
         method="normal", level=float(level), lower=point - z * tau, upper=point + z * tau
     )

@@ -1,5 +1,9 @@
 """Command line behavior: outputs, exit codes, and error reporting."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -162,6 +166,29 @@ def test_simulate_from_config_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     assert len(rows) == 4 and all(r[0] == "custom" for r in rows)
+
+
+def test_simulate_pins_blas_threads(tmp_path):
+    """A p = 95 run writes the same file with the BLAS thread variables unset
+    as with them set to 1: the CLI pins one thread before numpy loads.  With
+    the default thread count the 95x95 products and the SVD change their last
+    bits, but only on a machine with more than one CPU; on one CPU the two runs
+    match even without the pin, so there this test cannot fail."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    outputs = []
+    for pinned in (False, True):
+        env = dict(base, **dict.fromkeys(blas_vars, "1")) if pinned else base
+        out = tmp_path / f"pinned{int(pinned)}.csv"
+        argv = ["simulate", "--n", "100", "--p", "95", "--eta", "0.5", "--N1", "1",
+                "--N2", "4", "--B", "100", "--seed", "0", "--out", str(out)]
+        child = subprocess.run([sys.executable, "-m", "ridgeboot.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b" blas_threads=1\n" in outputs[0]
 
 
 def test_simulate_unwritable_out(tmp_path, capsys):

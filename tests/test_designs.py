@@ -115,6 +115,33 @@ def test_t_family_requires_heavy_moment():
         NoiseSpec(family="scaled_t", sigma=1.0, dof=4.0)
 
 
+@pytest.mark.parametrize("spec", [
+    NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0),
+    NoiseSpec(family="scaled_t", sigma=2.0, dof=7.5),
+    NoiseSpec(family="normal", sigma=0.3),
+    NoiseSpec(family="two_point", sigma=0.3),
+    NoiseSpec(family="two_point", sigma=0.0),
+])
+def test_noise_matches_expression_forms(spec):
+    """The in-place samplers give the bits and generator state of the
+    expression forms they replaced."""
+    def expression_form(rng, n):
+        if spec.family == "scaled_t":
+            z = rng.standard_normal(n)
+            w = rng.chisquare(spec.dof, n)
+            t = z / np.sqrt(w / spec.dof)
+            return t * (spec.sigma / np.sqrt(spec.dof / (spec.dof - 2.0)))
+        if spec.family == "normal":
+            return spec.sigma * rng.standard_normal(n)
+        return spec.sigma * (2.0 * rng.integers(0, 2, n) - 1.0)
+
+    g, h = np.random.default_rng(12), np.random.default_rng(12)
+    for n in (1, 7, 20_000):
+        a, b = sample_noise(spec, n, g), expression_form(h, n)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert g.bit_generator.state == h.bit_generator.state
+
+
 def test_noise_seed_deterministic():
     spec = NoiseSpec(family="scaled_t", sigma=1.0, dof=6.0)
     a = sample_noise(spec, 50, np.random.default_rng(11))

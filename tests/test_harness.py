@@ -1,6 +1,7 @@
 """Experiment driver: seeding, config files, aggregation, and suite plumbing."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +265,7 @@ def test_results_header_records_config(tmp_path):
     assert header.startswith("# ")
     values = dict(cell.split("=", 1) for cell in header[2:].split())
     assert values.pop("version") == ridgeboot.__version__
+    assert values.pop("blas_threads") == os.environ.get("OPENBLAS_NUM_THREADS", "default")
     assert "threads" not in values  # results do not depend on it
     parsed = ExperimentConfig(**{key: FIELD_TYPES[key](v) for key, v in values.items()})
     assert parsed == replace(cfg, threads=1)

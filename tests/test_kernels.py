@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import contrast_draws_loop, w2sq_merge_loop, w2sq_union1d
+from ridgeboot import _kernels
 from ridgeboot._kernels import active_backend, contrast_draws, w2sq_sorted
 
 
@@ -57,6 +58,43 @@ def test_w2sq_matches_union1d_bits_property(m, k, seed):
     x = np.sort(rng.standard_normal(m))
     y = np.sort(rng.standard_normal(k) * 2.0 + 0.3)
     assert w2sq_sorted(x, y) == w2sq_union1d(x, y)
+
+
+def test_w2sq_reused_plans_match_union1d_bits():
+    """Calls that reuse a cached plan on fresh samples stay bit-identical, in
+    both argument orders and interleaved with calls at other sizes."""
+    rng = np.random.default_rng(23)
+    # (1, k) and (m, 1); m dividing k; coprime sizes; equal sizes.
+    shapes = [(1, 50), (50, 1), (20, 4000), (997, 1024), (64, 64)]
+    _kernels._merge_plan.cache_clear()
+    for _ in range(2):
+        for m, k in shapes:
+            for swap in (False, True):
+                for _ in range(3):  # fresh samples on one plan
+                    x = np.sort(rng.standard_normal(m))
+                    y = np.sort(rng.standard_normal(k) * 1.5 - 0.2)
+                    if swap:
+                        x, y = y, x
+                    assert w2sq_sorted(x, y) == w2sq_union1d(x, y)
+    assert _kernels._merge_plan.cache_info().hits >= 2 * 2 * len(shapes) * 2
+
+
+def test_w2sq_plan_is_read_only_and_built_once_per_size_pair():
+    _kernels._merge_plan.cache_clear()
+    rng = np.random.default_rng(29)
+    calls = 48  # the W2 calls of one mspe-link case, all at (n, m_ref)
+    for _ in range(calls):
+        w2sq_sorted(np.sort(rng.standard_normal(20)), np.sort(rng.standard_normal(20_000)))
+    info = _kernels._merge_plan.cache_info()
+    assert (info.misses, info.hits) == (1, calls - 1)
+    for a in _kernels._merge_plan(20, 20_000):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    for m in range(1, 40):
+        w2sq_sorted(np.sort(rng.standard_normal(m)), np.sort(rng.standard_normal(41)))
+    info = _kernels._merge_plan.cache_info()
+    assert info.currsize <= info.maxsize <= 2
 
 
 def test_contrast_draws_backends_agree():

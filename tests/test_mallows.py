@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import w2sq_lp
+from ridgeboot.designs import NoiseSpec
 from ridgeboot.errors import InputError
 from ridgeboot.mallows import (
     EmpiricalDistribution,
@@ -135,6 +136,20 @@ def test_reference_point_mass_against_normal():
     value = d2_to_reference(f, lambda g, size: g.standard_normal(size), 10 ** 5, rng)
     # W2(delta_0, N(0,1))^2 = E[x^2] = 1
     assert value ** 2 == pytest.approx(1.0, rel=0.02)
+
+
+def test_reference_sorted_in_place_matches_sorted_copy():
+    """Sorting the sampler's fresh draws in place gives the distance, and leaves
+    the generator in the state, of the earlier form that sorted a copy."""
+    spec = NoiseSpec(family="scaled_t", sigma=0.5, dof=5.0)
+    sampler = spec.sampler()
+    g, h = np.random.default_rng(31), np.random.default_rng(31)
+    for n, m_ref in ((20, 20_000), (37, 1000), (1000, 1000)):
+        f = center_residuals(sampler(np.random.default_rng(n), n))
+        value = d2_to_reference(f, sampler, m_ref, g)
+        frozen = d2_empirical(f, EmpiricalDistribution(atoms=np.sort(sampler(h, m_ref))))
+        assert value == frozen
+    assert g.bit_generator.state == h.bit_generator.state
 
 
 def test_empirical_distribution_validation():
