@@ -1,5 +1,5 @@
 """Deterministic linear-model computations: ridge/OLS fits, leverage scores,
-and the contrast bias/variance and prediction-error functionals.
+contrast weights, the ridge bias vector and the exact prediction error.
 
 Everything penalty-dependent is computed from one thin SVD of the design,
 reused across penalties (the harness evaluates many penalties per design).
@@ -119,8 +119,19 @@ class DesignFactorization:
         return self.Vt.T @ (g * (self.U.T @ Y))
 
     def contrast_weights(self, c: np.ndarray, rho: float) -> np.ndarray:
-        """Row vector a = c^T (X^T X + rho I)^{-1} X^T as a length-n array."""
+        """Row vector a = c^T (X^T X + rho I)^{-1} X^T as a length-n array.
+
+        ``c`` is one contrast, shape (p,), or k contrasts as the columns of a
+        (p, k) matrix, whose weights come back as the columns of an (n, k)
+        matrix.  Any other shape, or a non-finite entry, is an InputError.
+        """
+        c = np.asarray(c, dtype=np.float64)
+        shape_ok = c.ndim in (1, 2) and c.shape[0] == self.p and c.size > 0
+        if not (shape_ok and np.all(np.isfinite(c))):
+            raise InputError("contrast must be a finite length-p vector")
         g = self.gain(rho)
+        if c.ndim == 2:
+            g = g[:, None]
         return self.U @ (g * (self.Vt @ c))
 
     def shrinkage_diag(self, rho: float) -> np.ndarray:
@@ -149,28 +160,6 @@ def ridge_fit(data: Dataset, rho: float, fact: DesignFactorization | None = None
     fitted = data.X @ coef
     residuals = data.Y - fitted
     return RidgeFit(rho=float(rho), coefficients=coef, residuals=residuals, fitted=fitted)
-
-
-def contrast_variance(
-    fact: DesignFactorization, c: np.ndarray, rho: float, sigma_sq: float
-) -> float:
-    """v_rho(X;c) = sigma^2 * ||c^T (X^T X + rho I)^{-1} X^T||_2^2."""
-    c = _as_vector(c, fact.p, "c")
-    if not (np.isfinite(sigma_sq) and sigma_sq > 0):
-        raise InputError("sigma_sq must be positive")
-    a = fact.contrast_weights(c, float(rho))
-    return float(sigma_sq * (a @ a))
-
-
-def contrast_bias_sq(
-    fact: DesignFactorization, c: np.ndarray, beta: np.ndarray, rho: float
-) -> float:
-    """b2_rho(X;c) = (c^T delta(X))^2."""
-    c = _as_vector(c, fact.p, "c")
-    beta = _as_vector(beta, fact.p, "beta")
-    if not (np.isfinite(rho) and rho > 0):
-        raise InputError("rho must be positive")
-    return float(c @ fact.bias_vector(beta, float(rho))) ** 2
 
 
 def mspe_exact(

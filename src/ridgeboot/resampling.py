@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -57,9 +57,13 @@ def _draw_contrast_values(
     B: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """z_j = weights . atoms[indices_j] for B index rows drawn sequentially."""
-    n = weights.size
-    out = np.empty(B)
+    """z_j = weights^T atoms[indices_j] for B index rows drawn sequentially.
+
+    ``weights`` of shape (n,) gives B values; an (n, k) matrix gives a (B, k)
+    array, one GEMM per chunk, drawing the same indices as one column would.
+    """
+    n = weights.shape[0]
+    out = np.empty((B,) + weights.shape[1:])
     chunk = max(1, _CHUNK_CELLS // n // _BLOCK_ROWS) * _BLOCK_ROWS
     done = 0
     while done < B:
@@ -84,18 +88,17 @@ def rb_contrast_draws(
 
     The pilot fit runs at pilot_rho; each replicate draws n i.i.d. atoms from
     the centered residual law and maps them through the inference-penalty row
-    vector a = c^T (X^T X + rho I)^{-1} X^T (computed once).  Returns the B
-    contrast values z_j.
+    vector a = c^T (X^T X + rho I)^{-1} X^T (computed once).  ``c`` is one
+    contrast of shape (p,), giving the B contrast values z_j, or k contrasts
+    as the rows of a (k, p) matrix, giving a (B, k) array whose column j is
+    the law of contrast j, all from one set of B index draws.
     """
     if not (isinstance(B, (int, np.integer)) and B >= 1):
         raise InputError("B must be a positive integer")
-    c = np.asarray(c, dtype=np.float64)
     if fact is None:
         fact = DesignFactorization(data.X)
-    if c.shape != (fact.p,) or not np.all(np.isfinite(c)):
-        raise InputError("contrast must be a finite length-p vector")
-    weights = fact.contrast_weights(c, float(rho))
-    if float(weights @ weights) <= 0.0:
+    weights = fact.contrast_weights(np.asarray(c, dtype=np.float64).T, float(rho))
+    if np.any(np.sum(weights * weights, axis=0) <= 0.0):
         raise DegenerateContrastError("contrast has zero variance at this penalty")
     pilot = ridge_fit(data, float(pilot_rho), fact=fact)
     atoms = center_residuals(pilot.residuals).atoms
@@ -149,10 +152,12 @@ def ci_ridge_rb(
     """Ridge residual-bootstrap interval [c^T b_rho - q_hi, c^T b_rho - q_lo]."""
     if not (0.0 < level < 1.0):
         raise InputError("level must lie in (0,1)")
+    if np.ndim(c) != 1:
+        raise InputError("an interval takes one contrast vector")
     if fact is None:
         fact = DesignFactorization(data.X)
     draws = rb_contrast_draws(data, c, rho, pilot_rho, B, rng, fact=fact)
-    point = float(fact.contrast_weights(np.asarray(c, dtype=np.float64), float(rho)) @ data.Y)
+    point = float(fact.contrast_weights(c, float(rho)) @ data.Y)
     return pivot_interval("ridge_rb", draws, point, level)
 
 
@@ -186,13 +191,12 @@ def ci_normal(
     """
     if not (0.0 < level < 1.0):
         raise InputError("level must lie in (0,1)")
+    if np.ndim(c) != 1:
+        raise InputError("an interval takes one contrast vector")
     if fact is None:
         fact = DesignFactorization(data.X)
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (fact.p,) or not np.all(np.isfinite(c)):
-        raise InputError("contrast must be a finite length-p vector")
-    sigma_sq = ols_sigma_sq_hat(data, fact=fact)
     weights = fact.contrast_weights(c, float(rho))
+    sigma_sq = ols_sigma_sq_hat(data, fact=fact)
     tau = math.sqrt(sigma_sq * float(weights @ weights))
     point = float(weights @ data.Y)
     z = _normal_quantile((1.0 + level) / 2.0)
@@ -210,10 +214,4 @@ def ci_ols_rb(
     fact: DesignFactorization | None = None,
 ) -> ConfidenceInterval:
     """Least-squares residual bootstrap: the ridge pipeline at rho = pilot = 0."""
-    if not (0.0 < level < 1.0):
-        raise InputError("level must lie in (0,1)")
-    if fact is None:
-        fact = DesignFactorization(data.X)
-    draws = rb_contrast_draws(data, c, 0.0, 0.0, B, rng, fact=fact)
-    point = float(fact.contrast_weights(np.asarray(c, dtype=np.float64), 0.0) @ data.Y)
-    return pivot_interval("ols_rb", draws, point, level)
+    return replace(ci_ridge_rb(data, c, 0.0, 0.0, B, level, rng, fact=fact), method="ols_rb")

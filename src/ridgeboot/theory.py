@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
 from .designs import NoiseSpec, make_beta, make_covariance, sample_design
 from .errors import DegenerateContrastError, InputError
 from .linmodel import Dataset, DesignFactorization, mspe_exact, ridge_fit, theta_rule
@@ -64,9 +63,9 @@ _BAND_HALFWIDTH = 0.15
 # The design-event constants are this multiple of the worst calibration ratio.
 _KAPPA_SAFETY = 1.1
 
-# Cells per chunk of fresh noise in check_theorem1.  It does not follow the
-# draw engine's chunk: the scaled-t sampler draws all its normals and then all
-# its chi-square values, so this size fixes the RNG stream.
+# Cells per chunk of fresh noise in the theorem checks.  It does not follow
+# the draw engine's chunk: the scaled-t sampler draws all its normals and then
+# all its chi-square values, so this size fixes the RNG stream.
 _PSI_CHUNK_CELLS = 4_000_000
 
 
@@ -174,6 +173,22 @@ def _draw_design(size: int, eta: float, gen: np.random.Generator) -> tuple:
     return DesignFactorization(X), make_beta(p)
 
 
+def _fresh_contrast_errors(sampler, weights: np.ndarray, reps: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """eps @ weights for ``reps`` fresh noise vectors eps, drawn in chunks of
+    about _PSI_CHUNK_CELLS cells: shape (reps,) for weights of shape (n,), or
+    (reps, k) for the k columns of an (n, k) matrix."""
+    n = weights.shape[0]
+    out = np.empty((reps,) + weights.shape[1:])
+    chunk = max(1, _PSI_CHUNK_CELLS // n)
+    done = 0
+    while done < reps:
+        take = min(chunk, reps - done)
+        out[done : done + take] = sampler(rng, take * n).reshape(take, n) @ weights
+        done += take
+    return out
+
+
 def check_theorem1(
     data: Dataset,
     noise: NoiseSpec,
@@ -217,14 +232,7 @@ def check_theorem1(
     n = data.n
     # Fresh-noise law of the centered contrast error, normalized.
     sampler = noise.sampler()
-    psi = np.empty(m_boot, dtype=np.float64)
-    chunk = max(1, _PSI_CHUNK_CELLS // n)
-    done = 0
-    while done < m_boot:
-        take = min(chunk, m_boot - done)
-        eps = sampler(rng, take * n).reshape(take, n)
-        psi[done : done + take] = eps @ a
-        done += take
+    psi = _fresh_contrast_errors(sampler, a, m_boot, rng)
     psi -= shift
     psi /= sd
     psi.sort()
@@ -575,7 +583,11 @@ def check_theorem4(
 
     Designs are drawn from child generators seeded once per (size,
     design) pair, so increasing ``noise_reps`` re-evaluates the same
-    designs rather than drawing new ones.
+    designs rather than drawing new ones.  Both laws of all n row
+    contrasts come from one set of draws: the fresh noise first, then the
+    bootstrap indices, on the design's noise generator.  While
+    noise_reps * n <= 4,000,000, as under every default and reduced knob,
+    the fresh noise is one chunk, so its stream equals one unchunked draw.
     """
     if not (eta / (1.0 + eta) < gamma < min(eta, 1.0)):
         raise InputError("gamma must lie strictly between eta/(1+eta) and min(eta, 1)")
@@ -598,31 +610,18 @@ def check_theorem4(
             gen_design = np.random.default_rng(child_seeds[gi, d, 0])
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
             fact, beta = _draw_design(size, eta, gen_design)
-            eps = sampler(gen_design, size)
             X = fact.X
+            y = X @ beta + sampler(gen_design, size)
 
-            # Smoother rows: row i of U diag(s^2/(s^2+rho)) U^T are the
-            # contrast weights a_i for every row contrast at once.
-            A = fact.U * fact.shrinkage_diag(rho) @ fact.U.T
-            v = sigma_sq * np.sum(A * A, axis=1)
+            # Column i holds the smoother row a_i of the row contrast X_i.
+            weights = fact.contrast_weights(X.T, rho)
+            sd = np.sqrt(sigma_sq * np.sum(weights * weights, axis=0))
             shifts = X @ fact.bias_vector(beta, rho)
-            sd = np.sqrt(v)
-
-            y = X @ beta + eps
-            resid = y - X @ fact.coefficients(y, varrho)
-            fhat = center_residuals(resid)
-
-            fresh = sampler(gen_noise, noise_reps * size).reshape(noise_reps, size)
-            psi = (fresh @ A.T - shifts) / sd
-            idx = gen_noise.integers(0, fhat.size, size=(noise_reps, size))
-            phi = _kernels.contrast_draws(fhat.atoms, A.T, idx) / sd
-            psi = np.sort(psi, axis=0)
-            phi = np.sort(phi, axis=0)
-            row_d2sq = np.empty(size, dtype=np.float64)
-            for i in range(size):
-                diff = psi[:, i] - phi[:, i]
-                row_d2sq[i] = float(diff @ diff) / noise_reps
-            worst[d] = float(np.max(row_d2sq))
+            psi = (_fresh_contrast_errors(sampler, weights, noise_reps, gen_noise) - shifts) / sd
+            phi = rb_contrast_draws(Dataset(X, y), X, rho, varrho, noise_reps, gen_noise,
+                                    fact=fact) / sd
+            diff = np.sort(psi, axis=0) - np.sort(phi, axis=0)
+            worst[d] = float(np.max(np.sum(diff * diff, axis=0))) / noise_reps
         medians.append(float(np.median(worst)))
 
     slope = _fit_slope(grid, medians)

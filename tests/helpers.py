@@ -7,6 +7,10 @@ never uses, so agreement is evidence rather than tautology.
 import numpy as np
 from scipy.optimize import linprog
 
+from ridgeboot.mallows import center_residuals
+from ridgeboot.theory import _THEOREM4_NOISE, _draw_design
+from ridgeboot.tuning import exponent_to_penalty
+
 # Knobs that run each check suite in about a second, for tests of the
 # report plumbing and of rerun determinism.
 REDUCED_KNOBS = {
@@ -95,6 +99,44 @@ def contrast_draws_loop(atoms, weights, idx):
             acc += float(weights[i]) * float(atoms[j])
         out[b] = acc
     return out
+
+
+def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, rng):
+    """Per-size medians of the worst-row d2^2 of ``check_theorem4``, by its
+    earlier form, frozen: the n x n smoother U diag(s^2/(s^2+rho)) U^T, the
+    fresh noise and the bootstrap indices each in one draw, and a loop over
+    rows.  The library now draws both laws through the (k, p) contrast engine.
+    """
+    sampler = _THEOREM4_NOISE.sampler()
+    sigma_sq = _THEOREM4_NOISE.sigma ** 2
+    child_seeds = rng.integers(0, 2**63, size=(len(n_grid), design_trials, 2))
+    medians = []
+    for gi, size in enumerate(n_grid):
+        rho = exponent_to_penalty(size, gamma)
+        varrho = exponent_to_penalty(size, theta)
+        worst = np.empty(design_trials)
+        for d in range(design_trials):
+            gen_design = np.random.default_rng(child_seeds[gi, d, 0])
+            gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
+            fact, beta = _draw_design(size, eta, gen_design)
+            eps = sampler(gen_design, size)
+            X = fact.X
+            A = fact.U * fact.shrinkage_diag(rho) @ fact.U.T
+            sd = np.sqrt(sigma_sq * np.sum(A * A, axis=1))
+            shifts = X @ fact.bias_vector(beta, rho)
+            y = X @ beta + eps
+            fhat = center_residuals(y - X @ fact.coefficients(y, varrho))
+            fresh = sampler(gen_noise, noise_reps * size).reshape(noise_reps, size)
+            psi = np.sort((fresh @ A.T - shifts) / sd, axis=0)
+            idx = gen_noise.integers(0, fhat.size, size=(noise_reps, size))
+            phi = np.sort((fhat.atoms[idx] @ A.T) / sd, axis=0)
+            row_d2sq = np.empty(size)
+            for i in range(size):
+                diff = psi[:, i] - phi[:, i]
+                row_d2sq[i] = float(diff @ diff) / noise_reps
+            worst[d] = float(np.max(row_d2sq))
+        medians.append(float(np.median(worst)))
+    return medians
 
 
 def ridge_lstsq(X, Y, rho):

@@ -8,8 +8,6 @@ from ridgeboot.errors import InputError, SingularSystemError
 from ridgeboot.linmodel import (
     Dataset,
     DesignFactorization,
-    contrast_bias_sq,
-    contrast_variance,
     mspe_exact,
     read_matrix_csv,
     read_vector_csv,
@@ -125,7 +123,16 @@ def test_leverage_argmax_ties_take_smallest_index():
 
 
 # ---------------------------------------------------------------------------
-# contrast variance / bias
+# contrast variance sigma^2 ||a||^2 and bias c^T delta(X)
+
+def contrast_variance(fact, c, rho, sigma_sq):
+    a = fact.contrast_weights(c, rho)
+    return sigma_sq * float(a @ a)
+
+
+def contrast_bias_sq(fact, c, beta, rho):
+    return float(c @ fact.bias_vector(beta, rho)) ** 2
+
 
 def test_contrast_variance_zero_contrast():
     data, _ = make_data(5, 3, seed=2)
@@ -278,6 +285,10 @@ def test_factorization_matches_direct_weights():
     for rho in (0.3, 3.0):
         want = np.linalg.solve(X.T @ X + rho * np.eye(5), c) @ X.T
         np.testing.assert_allclose(fact.contrast_weights(c, rho), want, rtol=1e-9, atol=1e-12)
+        # k contrasts as the columns of a (p, k) matrix give k weight columns
+        C = np.stack([c, X[0], -2.0 * c], axis=1)
+        cols = np.stack([fact.contrast_weights(C[:, j], rho) for j in range(3)], axis=1)
+        np.testing.assert_allclose(fact.contrast_weights(C, rho), cols, rtol=1e-12, atol=1e-15)
 
 
 def test_matrix_csv_round_trip(tmp_path):

@@ -163,6 +163,45 @@ def test_zero_contrast_refused():
     data, _ = two_atom_setup()
     with pytest.raises(DegenerateContrastError):
         rb_contrast_draws(data, np.zeros(2), 1.0, 1.0, 100, np.random.default_rng(0))
+    # one zero-variance row among k contrasts refuses the whole matrix
+    with pytest.raises(DegenerateContrastError):
+        rb_contrast_draws(data, np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0, 1.0, 100,
+                          np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n, B", [(30, 500), (100, 2000), (200, 700)])
+def test_contrast_matrix_columns_match_single_contrasts(n, B):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 8))
+    data = Dataset(X, X @ rng.standard_normal(8) + rng.standard_normal(n))
+    C = np.vstack([X[:5], rng.standard_normal((2, 8))])
+    g = np.random.default_rng(B)
+    z = rb_contrast_draws(data, C, 2.0, 5.0, B, g)
+    assert z.shape == (B, C.shape[0])
+    for j, c in enumerate(C):
+        h = np.random.default_rng(B)
+        np.testing.assert_allclose(z[:, j], rb_contrast_draws(data, c, 2.0, 5.0, B, h),
+                                   rtol=1e-12, atol=1e-14)
+        assert g.bit_generator.state == h.bit_generator.state
+    one = rb_contrast_draws(data, C[:1], 2.0, 5.0, B, np.random.default_rng(B))
+    assert one.shape == (B, 1)
+
+
+def test_bad_contrast_refused_before_any_draw():
+    data, _ = two_atom_setup()
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for bad in (np.ones((1, 1, 2)), np.ones(3), np.ones((2, 3)), np.array([1.0, np.nan]),
+                np.array([[1.0, 0.0], [np.inf, 1.0]])):
+        with pytest.raises(InputError, match="finite length-p vector"):
+            rb_contrast_draws(data, bad, 1.0, 1.0, 100, rng)
+    # the intervals take one contrast: a length-p vector, not a matrix
+    for bad in (np.ones(3), np.array([np.nan, 1.0]), np.eye(2), np.ones((1, 2))):
+        with pytest.raises(InputError):
+            ci_normal(data, bad, 1.0, 0.9)
+        with pytest.raises(InputError):
+            ci_ridge_rb(data, bad, 1.0, 1.0, 100, 0.9, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import REDUCED_KNOBS, theorem4_medians_loop
+from ridgeboot import theory
 from ridgeboot.designs import NoiseSpec, generate_dataset, make_beta, make_covariance, sample_design
 from ridgeboot.errors import InputError
 from ridgeboot.harness import _setting_case, run_check_suite
@@ -12,6 +14,7 @@ from ridgeboot.linmodel import Dataset, DesignFactorization, theta_rule
 from ridgeboot.theory import (
     CheckReport,
     RateEstimate,
+    _fresh_contrast_errors,
     check_design_events,
     check_mspe_link,
     check_theorem1,
@@ -131,6 +134,37 @@ def test_theorem1_given_factorization_matches_and_is_checked():
     assert (given.lhs, given.rhs) == (built.lhs, built.rhs)
     with pytest.raises(InputError):
         check_theorem1(data, noise, c, 2.0, 10.0, rng, fact=DesignFactorization(data.X[:, :-1]))
+
+
+def test_theorem1_bad_contrast_refused_before_any_draw():
+    rng = np.random.default_rng(34)
+    noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
+    data = generate_dataset(40, make_covariance(10, 1.0, rng), make_beta(10), noise, rng)
+    state = rng.bit_generator.state
+    for bad in (np.ones(11), np.r_[np.nan, np.ones(9)]):
+        with pytest.raises(InputError, match="finite length-p vector"):
+            check_theorem1(data, noise, bad, 2.0, 10.0, rng, m_boot=2000, m_ref=4000)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("cells", [theory._PSI_CHUNK_CELLS, 1000])
+def test_fresh_contrast_errors_match_inline_loop(monkeypatch, cells):
+    # The chunked loop check_theorem1 ran inline, replayed on an equal seed.
+    monkeypatch.setattr(theory, "_PSI_CHUNK_CELLS", cells)
+    sampler = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0).sampler()
+    n, reps = 30, 1000
+    a = np.random.default_rng(1).standard_normal(n)
+    g, h = np.random.default_rng(2), np.random.default_rng(2)
+    got = _fresh_contrast_errors(sampler, a, reps, g)
+    want = np.empty(reps)
+    chunk = max(1, cells // n)
+    done = 0
+    while done < reps:
+        take = min(chunk, reps - done)
+        want[done:done + take] = sampler(h, take * n).reshape(take, n) @ a
+        done += take
+    assert np.array_equal(got, want)
+    assert g.bit_generator.state == h.bit_generator.state
 
 
 def test_theorem1_needs_simulation_mode():
@@ -290,6 +324,15 @@ def test_theorem4_reports_one_sided_band():
     assert est.target_slope == 0.0
     assert est.band == (float("-inf"), 0.0)
     assert all(v > 0 for v in est.values)
+
+
+def test_theorem4_matches_frozen_row_loop():
+    knobs = REDUCED_KNOBS["theorem4"]
+    args = (1.0, 0.55, theta_rule(1.0), (knobs["n_min"], knobs["n_max"]),
+            knobs["design_trials"], knobs["noise_reps"])
+    est = check_theorem4(*args, np.random.default_rng(41))
+    want = theorem4_medians_loop(*args, np.random.default_rng(41))
+    np.testing.assert_allclose(est.values, want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
