@@ -15,21 +15,23 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from . import _kernels
 from .errors import DegenerateContrastError, InputError, UnestimableVarianceError
 from .linmodel import Dataset, DesignFactorization, ridge_fit
 from .mallows import center_residuals
 
-# Draws run in chunks of about 64K cells (512 KB of int64 indices), so the
-# scratch arrays come from the reused heap rather than fresh pages that fault
-# in on every call.  Each z_b stays bit-identical to one unchunked
-# ``atoms[idx] @ weights`` under two conditions: every chunk starts at a
-# multiple of 64 rows, since OpenBLAS's gemv sums rows in blocks; and no chunk
-# is a single row, which numpy sends to dot rather than gemv.  Successive
-# ``rng.integers`` calls on one generator continue a single index stream.
-_CHUNK_CELLS = 65_536
+# Draws run in chunks of at most 16,000 cells (bar the tail rule below), so
+# that a chunk's int64 index array and its gathered float64 copy (125 KiB
+# each) stay below glibc's default 128 KiB mmap threshold: they come from the
+# reused heap rather than fresh pages that fault in on every call.  (16,384
+# cells would reach the threshold exactly at n = 64, 128 and 256.)  Each z_b
+# stays bit-identical to one unchunked ``atoms[idx] @ weights`` under two
+# conditions: every chunk starts at a multiple of 64 rows, since OpenBLAS's
+# gemv sums rows in blocks; and no chunk is a single row, which numpy sends to
+# dot rather than gemv.  Successive ``rng.integers`` calls on one generator
+# continue a single index stream.
+_CHUNK_CELLS = 16_000
 _BLOCK_ROWS = 64
 
 
@@ -173,8 +175,15 @@ def ols_sigma_sq_hat(data: Dataset, fact: DesignFactorization | None = None) -> 
 
 @functools.lru_cache(maxsize=16)
 def _normal_quantile(q: float) -> float:
-    """Standard normal quantile; a run asks for a few levels, once per response."""
-    return float(norm.ppf(q))
+    """Standard normal quantile; a run asks for a few levels, once per response.
+
+    ``ndtri`` is bit for bit ``scipy.stats.norm.ppf``.  It is imported here, on
+    the first call, because ``scipy.special`` takes about 0.4 s to import and
+    only the normal interval needs it.
+    """
+    from scipy.special import ndtri
+
+    return float(ndtri(q))
 
 
 def ci_normal(

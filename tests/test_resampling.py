@@ -22,6 +22,7 @@ from ridgeboot.resampling import (
     _CHUNK_CELLS,
     _BLOCK_ROWS,
     _draw_contrast_values,
+    _normal_quantile,
     ci_normal,
     ci_ols_rb,
     ci_ridge_rb,
@@ -156,7 +157,7 @@ def test_draws_scratch_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < 768 * 2 ** 10
 
 
 def test_zero_contrast_refused():
@@ -260,6 +261,12 @@ def test_normal_interval_multiplier():
     half = (ci.upper - ci.lower) / 2.0
     assert half / tau == pytest.approx(1.6449, abs=5e-5)
     assert half / tau == pytest.approx(norm.ppf(0.95), rel=1e-9)
+
+
+def test_normal_quantile_is_norm_ppf_bit_for_bit():
+    levels = [(1.0 + level) / 2.0 for level in (0.8, 0.9, 0.95, 0.99)]
+    qs = np.concatenate([levels, np.random.default_rng(11).uniform(0.5, 1.0, 10_000)])
+    assert [_normal_quantile(float(q)) for q in qs] == norm.ppf(qs).tolist()
 
 
 def test_normal_interval_zero_width_on_interpolation():
