@@ -37,7 +37,7 @@ from .harness import (  # noqa: E402
     write_report,
     write_results,
 )
-from .linmodel import Dataset, DesignFactorization, read_matrix_csv, read_vector_csv  # noqa: E402
+from .linmodel import Dataset, read_matrix_csv, read_vector_csv  # noqa: E402
 from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb  # noqa: E402
 from .tuning import cv_select  # noqa: E402
 
@@ -107,31 +107,27 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     c = _parse_contrast(args.contrast, X)
     gen = np.random.default_rng(seed_split(args.seed, (0,)))
 
-    fact = DesignFactorization(X)
     rho = args.rho
     pilot = args.pilot_rho
     need_pilot = args.method == "ridge_rb"
     if rho is None or (need_pilot and pilot is None):
-        plan = cv_select(data, rng=gen, fact=fact)
+        plan = cv_select(data, rng=gen)
         if rho is None:
             rho = plan.inference_rho
         if pilot is None:
             pilot = plan.pilot_rho
 
     if args.method == "ridge_rb":
-        interval = ci_ridge_rb(data, c, rho, pilot, args.B, args.level, gen, fact=fact)
-        estimate = float(fact.contrast_weights(c, rho) @ Y)
+        interval = ci_ridge_rb(data, c, rho, pilot, args.B, args.level, gen)
     elif args.method == "normal":
-        interval = ci_normal(data, c, rho, args.level, fact=fact)
-        estimate = float(fact.contrast_weights(c, rho) @ Y)
+        interval = ci_normal(data, c, rho, args.level)
     else:
-        interval = ci_ols_rb(data, c, args.B, args.level, gen, fact=fact)
-        estimate = float(fact.contrast_weights(c, 0.0) @ Y)
+        interval = ci_ols_rb(data, c, args.B, args.level, gen)
 
     print("method,level,lower,upper,estimate")
     print(
         f"{args.method},{args.level:g},{interval.lower:.17g},"
-        f"{interval.upper:.17g},{estimate:.17g}"
+        f"{interval.upper:.17g},{interval.estimate:.17g}"
     )
     return 0
 

@@ -29,7 +29,7 @@ from .designs import (
     sample_noise,
 )
 from .errors import ConfigError, DegenerateDataError, RidgebootError
-from .linmodel import Dataset, DesignFactorization, theta_rule
+from .linmodel import Dataset, theta_rule
 from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb, pivot_interval
 from .theory import (
     CheckReport,
@@ -202,11 +202,10 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
     cov = make_covariance(config.p, config.eta, gen)
     X = sample_design(config.n, cov, gen)
     beta = make_beta(config.p)
-    fact = DesignFactorization(X)
-    istar = int(np.argmax(fact.leverage()))
-    c = X[istar].copy()
-    target = float(c @ beta)
     signal = X @ beta
+    design = Dataset(X, signal, beta_true=beta, sigma_true=config.sigma)
+    c = X[int(np.argmax(design.fact.leverage()))].copy()
+    target = float(c @ beta)
 
     cover = {m: 0 for m in METHODS}
     width_sum = {m: 0.0 for m in METHODS}
@@ -214,23 +213,21 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
     skips = 0
     plan = None
     for _ in range(config.N2):
-        eps = sample_noise(noise, config.n, gen)
-        data = Dataset(X, signal + eps, beta_true=beta, sigma_true=config.sigma)
+        data = design.with_response(signal + sample_noise(noise, config.n, gen))
         try:
             if plan is None or not config.cv_per_design:
-                plan = cv_select(data, grid=grid, folds=config.folds, rng=gen, fact=fact)
+                plan = cv_select(data, grid=grid, folds=config.folds, rng=gen)
             rho, varrho = plan.inference_rho, plan.pilot_rho
-            point = float(fact.contrast_weights(c, rho) @ data.Y)
-            ridge = ci_ridge_rb(data, c, rho, varrho, config.B, config.level, gen, fact=fact)
-            normal = ci_normal(data, c, rho, config.level, fact=fact)
-            ols = ci_ols_rb(data, c, config.B, config.level, gen, fact=fact)
+            ridge = ci_ridge_rb(data, c, rho, varrho, config.B, config.level, gen)
+            normal = ci_normal(data, c, rho, config.level)
+            ols = ci_ols_rb(data, c, config.B, config.level, gen)
         except RidgebootError:
             skips += 1
             continue
         for tag, ci in (("ridge_rb", ridge), ("normal", normal), ("ols_rb", ols)):
             cover[tag] += int(ci.lower <= target <= ci.upper)
             width_sum[tag] += ci.width
-        errors.append(point - target)
+        errors.append(ridge.estimate - target)
 
     # The infeasible benchmark: the quantile pivot on the realized error
     # pool of this design, shared by all its instances.  Anchored at 0 it
@@ -453,6 +450,8 @@ def write_report(rows: Sequence[Mapping], path: str) -> None:
 
 def _sweep_cases(seed: int, count: int):
     """Randomized small-n problem instances shared by the bound suites."""
+    if count < 0:
+        raise ConfigError("sweep must be >= 0")
     for k in range(count):
         child = seed_split(seed, (101, k))
         gen = np.random.default_rng(child)
@@ -478,20 +477,21 @@ def _sweep_cases(seed: int, count: int):
 
 
 def _setting_case(index: int, seed: int = 1):
-    """One seeded simulation-study design with CV-selected penalties and its SVD."""
+    """One seeded simulation-study design with CV-selected penalties."""
     name = f"setting{index}"
     n, p, eta = _SETTINGS[name]
     gen = np.random.default_rng(seed_split(seed, (index,)))
     noise = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
     data = generate_dataset(n, make_covariance(p, eta, gen), make_beta(p), noise, gen)
-    fact = DesignFactorization(data.X)
-    c = data.X[int(np.argmax(fact.leverage()))].copy()
-    plan = cv_select(data, rng=gen, fact=fact)
-    return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen, fact
+    c = data.X[int(np.argmax(data.fact.leverage()))].copy()
+    plan = cv_select(data, rng=gen)
+    return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen
 
 
 def _geometric(lo: int, hi: int, factor: int) -> list:
     """lo, factor lo, factor^2 lo, ... up to the first value at or above hi."""
+    if lo < 1:
+        raise ConfigError(f"a sample-size grid must start at 1 or above, got {lo}")
     grid = [lo]
     while grid[-1] < hi:
         grid.append(grid[-1] * factor)
@@ -504,9 +504,9 @@ def _suite_theorem1(seed: int, knobs: dict):
                              m_boot=knobs["m_boot"], m_ref=knobs["m_ref"]), child
     if knobs["include_settings"]:
         for index in (1, 2, 3, 4):
-            name, data, noise, c, rho, pilot, gen, fact = _setting_case(index, seed=1)
+            name, data, noise, c, rho, pilot, gen = _setting_case(index, seed=1)
             rep = check_theorem1(data, noise, c, rho, pilot, gen, m_boot=knobs["settings_m"],
-                                 m_ref=knobs["settings_m"], fact=fact)
+                                 m_ref=knobs["settings_m"])
             yield replace(rep, name=f"theorem1[{name}]"), 1
 
 

@@ -9,7 +9,7 @@ rho = n^(1-gamma) is converted by ``tuning.exponent_to_penalty``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +41,16 @@ def _as_vector(v: np.ndarray, length: int | None, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design/response pair; carries (beta_true, sigma_true) in simulation mode."""
+    """Design/response pair; carries (beta_true, sigma_true) in simulation mode.
+
+    ``fact``, the SVD of X, is built on first use without a lock: threads that
+    share one dataset may each build it, so build it before they start."""
 
     X: np.ndarray
     Y: np.ndarray
     beta_true: np.ndarray | None = None
     sigma_true: float | None = None
+    _svd: DesignFactorization | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         X = _as_matrix(self.X)
@@ -69,6 +73,20 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @property
+    def fact(self) -> DesignFactorization:
+        """Thin SVD of X, shared across every penalty evaluated on this design."""
+        if self._svd is None:
+            object.__setattr__(self, "_svd", DesignFactorization(self.X))
+        return self._svd
+
+    def with_response(self, Y: np.ndarray) -> Dataset:
+        """The same design, beta_true and sigma_true with response Y, sharing
+        this dataset's factorization (built here if it is not yet)."""
+        other = Dataset(self.X, Y, self.beta_true, self.sigma_true)
+        object.__setattr__(other, "_svd", self.fact)
+        return other
 
 
 @dataclass(frozen=True)
@@ -152,11 +170,9 @@ class DesignFactorization:
         return np.sum(self.U * self.U, axis=1)
 
 
-def ridge_fit(data: Dataset, rho: float, fact: DesignFactorization | None = None) -> RidgeFit:
+def ridge_fit(data: Dataset, rho: float) -> RidgeFit:
     """Ridge solution at raw penalty rho; rho = 0 demands full column rank."""
-    if fact is None:
-        fact = DesignFactorization(data.X)
-    coef = fact.coefficients(data.Y, float(rho))
+    coef = data.fact.coefficients(data.Y, float(rho))
     fitted = data.X @ coef
     residuals = data.Y - fitted
     return RidgeFit(rho=float(rho), coefficients=coef, residuals=residuals, fitted=fitted)
@@ -200,8 +216,12 @@ def theta_rule(nu: float) -> float:
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a headerless CSV of decimal floats as a 2-D array (rows = observations)."""
-    arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    """Read a headerless CSV of decimal floats as a 2-D array (rows = observations);
+    a non-numeric cell or ragged rows are an InputError, a missing file an OSError."""
+    try:
+        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        raise InputError(f"{path} is not a numeric CSV matrix: {exc}") from exc
     if arr.size == 0:
         raise InputError(f"{path} is empty")
     return arr

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateContrastError, InputError, UnestimableVarianceError
-from .linmodel import Dataset, DesignFactorization, ridge_fit
+from .linmodel import Dataset, ridge_fit
 from .mallows import center_residuals
 
 # Draws run in chunks of at most 16,000 cells (bar the tail rule below), so
@@ -41,6 +41,7 @@ class ConfidenceInterval:
     level: float
     lower: float
     upper: float
+    estimate: float  # the point c^T b the interval is built around
 
     def __post_init__(self) -> None:
         if not (0.0 < self.level < 1.0):
@@ -84,7 +85,6 @@ def rb_contrast_draws(
     pilot_rho: float,
     B: int,
     rng: np.random.Generator,
-    fact: DesignFactorization | None = None,
 ) -> np.ndarray:
     """Steps 1-3 of the residual bootstrap: pilot fit, center, push B draws.
 
@@ -97,12 +97,10 @@ def rb_contrast_draws(
     """
     if not (isinstance(B, (int, np.integer)) and B >= 1):
         raise InputError("B must be a positive integer")
-    if fact is None:
-        fact = DesignFactorization(data.X)
-    weights = fact.contrast_weights(np.asarray(c, dtype=np.float64).T, float(rho))
+    weights = data.fact.contrast_weights(np.asarray(c, dtype=np.float64).T, float(rho))
     if np.any(np.sum(weights * weights, axis=0) <= 0.0):
         raise DegenerateContrastError("contrast has zero variance at this penalty")
-    pilot = ridge_fit(data, float(pilot_rho), fact=fact)
+    pilot = ridge_fit(data, float(pilot_rho))
     atoms = center_residuals(pilot.residuals).atoms
     return _draw_contrast_values(atoms, weights, int(B), rng)
 
@@ -137,7 +135,7 @@ def pivot_interval(
     q_hi = quantile(draws, (1.0 + level) / 2.0)
     q_lo = quantile(draws, (1.0 - level) / 2.0)
     return ConfidenceInterval(
-        method=method, level=float(level), lower=point - q_hi, upper=point - q_lo
+        method=method, level=float(level), lower=point - q_hi, upper=point - q_lo, estimate=point
     )
 
 
@@ -149,27 +147,22 @@ def ci_ridge_rb(
     B: int,
     level: float,
     rng: np.random.Generator,
-    fact: DesignFactorization | None = None,
 ) -> ConfidenceInterval:
     """Ridge residual-bootstrap interval [c^T b_rho - q_hi, c^T b_rho - q_lo]."""
     if not (0.0 < level < 1.0):
         raise InputError("level must lie in (0,1)")
     if np.ndim(c) != 1:
         raise InputError("an interval takes one contrast vector")
-    if fact is None:
-        fact = DesignFactorization(data.X)
-    draws = rb_contrast_draws(data, c, rho, pilot_rho, B, rng, fact=fact)
-    point = float(fact.contrast_weights(c, float(rho)) @ data.Y)
+    draws = rb_contrast_draws(data, c, rho, pilot_rho, B, rng)
+    point = float(data.fact.contrast_weights(c, float(rho)) @ data.Y)
     return pivot_interval("ridge_rb", draws, point, level)
 
 
-def ols_sigma_sq_hat(data: Dataset, fact: DesignFactorization | None = None) -> float:
+def ols_sigma_sq_hat(data: Dataset) -> float:
     """Unbiased noise-variance estimate ||Y - X b_LS||^2 / (n - p)."""
-    if fact is None:
-        fact = DesignFactorization(data.X)
     if data.p >= data.n:
         raise UnestimableVarianceError("sigma^2 estimation requires p <= n - 1")
-    fit = ridge_fit(data, 0.0, fact=fact)
+    fit = ridge_fit(data, 0.0)
     return float(fit.residuals @ fit.residuals) / (data.n - data.p)
 
 
@@ -191,7 +184,6 @@ def ci_normal(
     c: np.ndarray,
     rho: float,
     level: float,
-    fact: DesignFactorization | None = None,
 ) -> ConfidenceInterval:
     """Normal-approximation interval c^T b_rho +- z * tau_hat.
 
@@ -202,16 +194,13 @@ def ci_normal(
         raise InputError("level must lie in (0,1)")
     if np.ndim(c) != 1:
         raise InputError("an interval takes one contrast vector")
-    if fact is None:
-        fact = DesignFactorization(data.X)
-    weights = fact.contrast_weights(c, float(rho))
-    sigma_sq = ols_sigma_sq_hat(data, fact=fact)
+    weights = data.fact.contrast_weights(c, float(rho))
+    sigma_sq = ols_sigma_sq_hat(data)
     tau = math.sqrt(sigma_sq * float(weights @ weights))
     point = float(weights @ data.Y)
     z = _normal_quantile((1.0 + level) / 2.0)
-    return ConfidenceInterval(
-        method="normal", level=float(level), lower=point - z * tau, upper=point + z * tau
-    )
+    return ConfidenceInterval(method="normal", level=float(level), lower=point - z * tau,
+                              upper=point + z * tau, estimate=point)
 
 
 def ci_ols_rb(
@@ -220,7 +209,6 @@ def ci_ols_rb(
     B: int,
     level: float,
     rng: np.random.Generator,
-    fact: DesignFactorization | None = None,
 ) -> ConfidenceInterval:
     """Least-squares residual bootstrap: the ridge pipeline at rho = pilot = 0."""
-    return replace(ci_ridge_rb(data, c, 0.0, 0.0, B, level, rng, fact=fact), method="ols_rb")
+    return replace(ci_ridge_rb(data, c, 0.0, 0.0, B, level, rng), method="ols_rb")

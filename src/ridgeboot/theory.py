@@ -166,11 +166,11 @@ def _as_grid(n: Union[int, Sequence[int]]) -> tuple:
 
 
 def _draw_design(size: int, eta: float, gen: np.random.Generator) -> tuple:
-    """Factorized design with p = max(2, floor(size / 2)) columns drawn from
-    the power-law covariance j^(-eta), and the unit-norm coefficient vector."""
+    """Design with p = max(2, floor(size / 2)) columns drawn from the
+    power-law covariance j^(-eta), and the unit-norm coefficient vector."""
     p = max(2, int(math.floor(_DESIGN_RATIO * size)))
     X = sample_design(size, make_covariance(p, eta, gen), gen)
-    return DesignFactorization(X), make_beta(p)
+    return X, make_beta(p)
 
 
 def _fresh_contrast_errors(sampler, weights: np.ndarray, reps: int,
@@ -198,7 +198,6 @@ def check_theorem1(
     rng: np.random.Generator,
     m_boot: int = DEFAULT_M_BOOT,
     m_ref: int = DEFAULT_M_REF,
-    fact: DesignFactorization | None = None,
 ) -> CheckReport:
     """Compare the bootstrap law of a contrast error against its transfer bound.
 
@@ -207,7 +206,7 @@ def check_theorem1(
     from centered pilot residuals.  Right side: squared residual-law
     distance to the true noise law scaled by 1/sigma^2, plus the squared
     normalized ridge bias.  The inequality holds for every design, so a
-    single seeded run is a meaningful check.  `fact` (data.X's SVD) is built when None.
+    single seeded run is a meaningful check.
     """
     if data.beta_true is None or data.sigma_true is None:
         raise InputError("theorem check needs a simulation-mode dataset")
@@ -215,17 +214,13 @@ def check_theorem1(
         raise InputError("noise scale must be positive for this check")
     beta = data.beta_true
     sigma_sq = float(data.sigma_true) ** 2
-    if fact is None:
-        fact = DesignFactorization(data.X)
-    elif (fact.n, fact.p) != (data.n, data.p):
-        raise InputError("factorization does not match the design")
     c = np.asarray(c, dtype=np.float64)
 
-    a = fact.contrast_weights(c, rho)
+    a = data.fact.contrast_weights(c, rho)
     v = sigma_sq * float(a @ a)
     if v <= 0.0:
         raise DegenerateContrastError("contrast has zero variance at this penalty")
-    shift = float(c @ fact.bias_vector(beta, rho))
+    shift = float(c @ data.fact.bias_vector(beta, rho))
     bias_sq = shift * shift
     sd = math.sqrt(v)
 
@@ -238,7 +233,7 @@ def check_theorem1(
     psi.sort()
 
     # Bootstrap law from centered pilot residuals, same normalization.
-    phi = rb_contrast_draws(data, c, rho, pilot_rho, m_boot, rng, fact=fact) / sd
+    phi = rb_contrast_draws(data, c, rho, pilot_rho, m_boot, rng) / sd
     phi.sort()
 
     lhs = d2_empirical(
@@ -247,7 +242,7 @@ def check_theorem1(
     )
     lhs_sq = lhs * lhs
 
-    fhat = center_residuals(ridge_fit(data, pilot_rho, fact=fact).residuals)
+    fhat = center_residuals(ridge_fit(data, pilot_rho).residuals)
     resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
     rhs = (resid_gap * resid_gap) / sigma_sq + bias_sq / v
 
@@ -300,18 +295,17 @@ def check_mspe_link(
     n = data.n
 
     if estimator == "perfect":
-        fact, rho_used, mspe = None, float("nan"), 0.0
+        rho_used, mspe = float("nan"), 0.0
     else:
-        fact = DesignFactorization(X)
         if estimator == "ols":
-            if not fact.full_column_rank:
+            if not data.fact.full_column_rank:
                 raise InputError("ols estimator needs a full-column-rank design")
             rho_used = 0.0
         else:
             if varrho is None:
-                varrho = cv_select(data, rng=rng, fact=fact).pilot_rho
+                varrho = cv_select(data, rng=rng).pilot_rho
             rho_used = float(varrho)
-        mspe = mspe_exact(fact, beta, rho_used, sigma_sq)
+        mspe = mspe_exact(data.fact, beta, rho_used, sigma_sq)
 
     signal = X @ beta
     sampler = noise.sampler()
@@ -319,11 +313,11 @@ def check_mspe_link(
     raw_acc = 0.0
     for _ in range(reps):
         eps = sampler(rng, n)
-        if fact is None:
+        if estimator == "perfect":
             resid = eps
         else:
             y = signal + eps
-            resid = y - X @ fact.coefficients(y, rho_used)
+            resid = y - X @ data.fact.coefficients(y, rho_used)
         gap = d2_to_reference(center_residuals(resid), sampler, m_ref, rng)
         lhs_acc += gap * gap
 
@@ -380,8 +374,8 @@ def rate_mspe(
         varrho = exponent_to_penalty(n, theta)
         acc = 0.0
         for _ in range(trials):
-            fact, beta = _draw_design(n, nu, rng)
-            acc += mspe_exact(fact, beta, varrho, _SIGMA_SQ)
+            X, beta = _draw_design(n, nu, rng)
+            acc += mspe_exact(DesignFactorization(X), beta, varrho, _SIGMA_SQ)
         values.append(acc / trials)
     slope = _fit_slope(grid, values)
     if nu < 0.5:
@@ -503,10 +497,11 @@ def check_design_events(
     _, var_rate, mspe_rate = _event_rates(eta, gamma, theta)
 
     def stats(size: int, gen: np.random.Generator):
-        fact, beta = _draw_design(size, eta, gen)
+        X, beta = _draw_design(size, eta, gen)
+        fact = DesignFactorization(X)
         rho = exponent_to_penalty(size, gamma)
         varrho = exponent_to_penalty(size, theta)
-        bias_max = float(np.max((fact.X @ fact.bias_vector(beta, rho)) ** 2))
+        bias_max = float(np.max((X @ fact.bias_vector(beta, rho)) ** 2))
         per_row = _SIGMA_SQ * np.sum((fact.U * (fact.s * fact.gain(rho))) ** 2, axis=1)
         inv_var_max = float(np.max(1.0 / per_row))
         mspe = mspe_exact(fact, beta, varrho, _SIGMA_SQ)
@@ -609,17 +604,15 @@ def check_theorem4(
         for d in range(design_trials):
             gen_design = np.random.default_rng(child_seeds[gi, d, 0])
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
-            fact, beta = _draw_design(size, eta, gen_design)
-            X = fact.X
-            y = X @ beta + sampler(gen_design, size)
+            X, beta = _draw_design(size, eta, gen_design)
+            data = Dataset(X, X @ beta + sampler(gen_design, size))
 
             # Column i holds the smoother row a_i of the row contrast X_i.
-            weights = fact.contrast_weights(X.T, rho)
+            weights = data.fact.contrast_weights(X.T, rho)
             sd = np.sqrt(sigma_sq * np.sum(weights * weights, axis=0))
-            shifts = X @ fact.bias_vector(beta, rho)
+            shifts = X @ data.fact.bias_vector(beta, rho)
             psi = (_fresh_contrast_errors(sampler, weights, noise_reps, gen_noise) - shifts) / sd
-            phi = rb_contrast_draws(Dataset(X, y), X, rho, varrho, noise_reps, gen_noise,
-                                    fact=fact) / sd
+            phi = rb_contrast_draws(data, X, rho, varrho, noise_reps, gen_noise) / sd
             diff = np.sort(psi, axis=0) - np.sort(phi, axis=0)
             worst[d] = float(np.max(np.sum(diff * diff, axis=0))) / noise_reps
         medians.append(float(np.median(worst)))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InputError
-from .linmodel import Dataset, DesignFactorization
+from .linmodel import Dataset
 
 PILOT_PREFACTOR = 5.0
 INFERENCE_PREFACTOR = 0.1
@@ -114,7 +114,6 @@ def cv_select(
     grid: np.ndarray | None = None,
     folds: int = DEFAULT_FOLDS,
     rng: np.random.Generator | None = None,
-    fact: DesignFactorization | None = None,
 ) -> PenaltyPlan:
     """K-fold cross-validated ridge penalty selection.
 
@@ -133,7 +132,6 @@ def cv_select(
     on its smaller side: the (|h|, |h|) system I - H_hh when |h| <= k =
     len(s), else the (k, k) system of the push-through identity
     (I - U_h D U_h^T)^{-1} = I + U_h D (I_k - U_h^T U_h D)^{-1} U_h^T.
-    `fact` is the factorization of data.X; one is built when it is None.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -150,12 +148,8 @@ def cv_select(
     n = data.n
     if n < folds:
         raise InputError("need at least one row per fold")
-    if fact is None:
-        fact = DesignFactorization(data.X)
-    elif (fact.n, fact.p) != (n, data.p):
-        raise InputError("factorization does not match the design")
 
-    U, s2 = fact.U, fact.s * fact.s
+    U, s2 = data.fact.U, data.fact.s * data.fact.s
     k = s2.size
     shrink = s2 / (s2 + grid[:, None])
     keep = grid[:, None] / (s2 + grid[:, None])

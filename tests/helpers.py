@@ -7,6 +7,7 @@ never uses, so agreement is evidence rather than tautology.
 import numpy as np
 from scipy.optimize import linprog
 
+from ridgeboot.linmodel import DesignFactorization
 from ridgeboot.mallows import center_residuals
 from ridgeboot.theory import _THEOREM4_NOISE, _draw_design
 from ridgeboot.tuning import exponent_to_penalty
@@ -118,9 +119,9 @@ def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, 
         for d in range(design_trials):
             gen_design = np.random.default_rng(child_seeds[gi, d, 0])
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
-            fact, beta = _draw_design(size, eta, gen_design)
+            X, beta = _draw_design(size, eta, gen_design)
             eps = sampler(gen_design, size)
-            X = fact.X
+            fact = DesignFactorization(X)
             A = fact.U * fact.shrinkage_diag(rho) @ fact.U.T
             sd = np.sqrt(sigma_sq * np.sum(A * A, axis=1))
             shifts = X @ fact.bias_vector(beta, rho)

@@ -98,6 +98,27 @@ def test_ci_input_errors(ci_files, tmp_path, capsys):
             assert "rho must be a finite nonnegative real" in capsys.readouterr().err
 
 
+_MALFORMED = {"cell": ("1,2,3\n4,x,6\n", "1\nx\n3\n"), "ragged": ("1,2,3\n4,5\n", "1\n2,3\n4\n")}
+
+
+@pytest.mark.parametrize("role", ["design", "response", "contrast"])
+@pytest.mark.parametrize("fault", sorted(_MALFORMED))
+def test_ci_malformed_csv_is_an_input_error(ci_files, tmp_path, capsys, role, fault):
+    """A non-numeric cell or ragged rows exit 2 with an InputError naming the
+    file, in any of the three CSV inputs."""
+    design, response = ci_files
+    matrix, vector = _MALFORMED[fault]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(matrix if role == "design" else vector)
+    contrast = f"file:{bad}" if role == "contrast" else "row:0"
+    design = str(bad) if role == "design" else design
+    response = str(bad) if role == "response" else response
+    assert main(_ci_args(design, response, contrast=contrast, rho=0.5, pilot_rho=2.0,
+                         B=50)) == 2
+    err = capsys.readouterr().err
+    assert "InputError" in err and str(bad) in err
+
+
 def test_ci_missing_file_exit_code(ci_files, capsys):
     _, response = ci_files
     code = main(["ci", "--design", "/nonexistent/X.csv", "--response", response,

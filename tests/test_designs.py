@@ -115,6 +115,12 @@ def test_t_family_requires_heavy_moment():
         NoiseSpec(family="scaled_t", sigma=1.0, dof=4.0)
 
 
+def test_t_family_rejects_infinite_dof():
+    """dof = inf would sample all-NaN noise."""
+    with pytest.raises(InputError):
+        NoiseSpec(family="scaled_t", sigma=1.0, dof=float("inf"))
+
+
 @pytest.mark.parametrize("spec", [
     NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0),
     NoiseSpec(family="scaled_t", sigma=2.0, dof=7.5),

@@ -285,6 +285,20 @@ def test_run_check_suite_rejects_unknowns():
             run_check_suite("mspe-link", 0, overrides={"sweep": value})
 
 
+@pytest.mark.parametrize("suite, knobs", [
+    ("theorem4", {"n_min": 0}),
+    ("theorem4", {"n_min": -4}),
+    ("design-events", {"n_min": 0}),
+    ("mspe-link", {"sweep": -3}),
+    ("theorem1", {"sweep": -1}),
+])
+def test_run_check_suite_rejects_empty_or_endless_knobs(suite, knobs):
+    """A grid from 0 would double forever and a negative sweep would run no
+    check; both are ConfigErrors before any work."""
+    with pytest.raises(ConfigError):
+        run_check_suite(suite, 0, overrides=knobs)
+
+
 @pytest.mark.parametrize("suite", CHECK_SUITES)
 def test_report_rows_schema(suite, tmp_path):
     rows = run_check_suite(suite, 0, overrides=REDUCED_KNOBS[suite])

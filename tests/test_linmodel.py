@@ -1,8 +1,13 @@
 """Ridge/OLS fits, leverage, and the bias/variance/MSPE functionals."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import ridgeboot
 from helpers import ridge_dense
 from ridgeboot.errors import InputError, SingularSystemError
 from ridgeboot.linmodel import (
@@ -275,6 +280,60 @@ def test_dataset_validation():
         Dataset(X, np.ones(3), beta_true=np.ones(3), sigma_true=0.0)
     data = Dataset(X, np.ones(3), beta_true=np.ones(3), sigma_true=1.0)
     assert data.sigma_true == 1.0
+
+
+def _count_factorizations(monkeypatch) -> list:
+    built = []
+    init = DesignFactorization.__init__
+
+    def counting_init(self, X):
+        built.append(np.shape(X))
+        init(self, X)
+
+    monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
+    return built
+
+
+def test_dataset_builds_its_factorization_once(monkeypatch):
+    data, _ = make_data(12, 3, seed=4)
+    built = _count_factorizations(monkeypatch)
+    assert data.fact is data.fact
+    assert built == [(12, 3)]
+    assert "DesignFactorization" not in repr(data)
+
+
+def test_with_response_shares_the_factorization(monkeypatch):
+    data, eps = make_data(12, 3, seed=5)
+    data.fact
+    built = _count_factorizations(monkeypatch)
+    other = data.with_response(data.Y - eps)
+    assert other.fact is data.fact
+    assert built == []
+    assert other.X is data.X and other.beta_true is data.beta_true
+    assert other.sigma_true == data.sigma_true
+    np.testing.assert_array_equal(other.Y, data.Y - eps)
+    with pytest.raises(InputError):
+        data.with_response(np.ones(11))
+
+
+def test_no_function_takes_an_optional_factorization():
+    """A dataset's SVD is ``data.fact`` and nothing else: no public function or
+    method takes a ``fact`` with a default, or a ``fact`` beside a ``data``.
+    Functions without a dataset (``mspe_exact``) still take a factorization."""
+    checked = 0
+    for info in pkgutil.iter_modules(ridgeboot.__path__):
+        module = importlib.import_module(f"ridgeboot.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in filter(inspect.isfunction, members):
+                params = inspect.signature(fn).parameters
+                checked += 1
+                if "fact" in params:
+                    assert params["fact"].default is inspect.Parameter.empty, fn.__qualname__
+                    assert "data" not in params, fn.__qualname__
+    assert checked > 50
 
 
 def test_factorization_matches_direct_weights():

@@ -226,6 +226,20 @@ def test_ridge_interval_degenerate_zero_width():
     assert ci.width == 0.0
 
 
+def test_intervals_carry_their_point_estimate():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((30, 4))
+    data = Dataset(X, X @ np.array([1.0, -1.0, 0.5, 0.0]) + rng.standard_normal(30))
+    c = X[3]
+    rho = 2.5
+    ridge = ci_ridge_rb(data, c, rho, 10.0, 200, 0.9, rng)
+    normal = ci_normal(data, c, rho, 0.9)
+    ols = ci_ols_rb(data, c, 200, 0.9, rng)
+    assert ridge.estimate == normal.estimate == float(data.fact.contrast_weights(c, rho) @ data.Y)
+    assert ols.estimate == float(data.fact.contrast_weights(c, 0.0) @ data.Y)
+    assert pivot_interval("oracle", np.arange(5.0), 1.5, 0.9).estimate == 1.5
+
+
 def test_ridge_interval_seed_deterministic():
     data, c = two_atom_setup()
     a = ci_ridge_rb(data, c, 1.0, 1.0, 300, 0.9, np.random.default_rng(8))
@@ -390,7 +404,7 @@ def test_nominal_level_sanity_all_methods():
     target = float(c @ beta)
     sigma = 0.4
     rho = pilot = 0.5
-    fact = DesignFactorization(X)
+    design = Dataset(X, X @ beta)
     B = 300
     reps = 2000
 
@@ -399,15 +413,15 @@ def test_nominal_level_sanity_all_methods():
     gen = np.random.default_rng(23)
     for _ in range(reps):
         eps = gen.standard_normal(n) * sigma
-        data = Dataset(X, X @ beta + eps)
-        point = float(fact.contrast_weights(c, rho) @ data.Y)
+        data = design.with_response(X @ beta + eps)
+        point = float(design.fact.contrast_weights(c, rho) @ data.Y)
         ci_p = pivot_interval("oracle", pool, point, level)
         cover["oracle"] += ci_p.lower <= target <= ci_p.upper
-        ci_r = ci_ridge_rb(data, c, rho, pilot, B, level, gen, fact=fact)
+        ci_r = ci_ridge_rb(data, c, rho, pilot, B, level, gen)
         cover["ridge_rb"] += ci_r.lower <= target <= ci_r.upper
-        ci_n = ci_normal(data, c, rho, level, fact=fact)
+        ci_n = ci_normal(data, c, rho, level)
         cover["normal"] += ci_n.lower <= target <= ci_n.upper
-        ci_o = ci_ols_rb(data, c, B, level, gen, fact=fact)
+        ci_o = ci_ols_rb(data, c, B, level, gen)
         cover["ols_rb"] += ci_o.lower <= target <= ci_o.upper
     for method, count in cover.items():
         assert count / reps == pytest.approx(level, abs=0.04), method

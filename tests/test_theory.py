@@ -96,7 +96,7 @@ def test_theorem1_holds_on_fitted_pilot():
 def test_theorem1_bootstrap_memory_is_chunked():
     # Setting 1 (n = 100) at 400,000 bootstrap draws: a single (m_boot, n)
     # index matrix and its gathered atoms would take 610 MiB.
-    _, data, noise, c, rho, pilot, gen, _ = _setting_case(1, seed=1)
+    _, data, noise, c, rho, pilot, gen = _setting_case(1, seed=1)
     tracemalloc.start()
     try:
         check_theorem1(data, noise, c, rho, pilot, gen, m_boot=400_000, m_ref=1_000)
@@ -107,8 +107,8 @@ def test_theorem1_bootstrap_memory_is_chunked():
 
 
 def test_theorem1_settings_factorize_once(monkeypatch):
-    """The settings cases hand their CV factorization to the check: one SVD
-    per case, where building another inside the check would make two."""
+    """The settings cases' leverage, CV and check share their dataset's SVD:
+    one per case, where building another inside the check would make two."""
     shapes = []
     init = DesignFactorization.__init__
 
@@ -120,20 +120,6 @@ def test_theorem1_settings_factorize_once(monkeypatch):
     rows = run_check_suite("theorem1", 0, overrides={"sweep": 0, "settings_m": 2000})
     assert [row["name"] for row in rows] == [f"theorem1[setting{i}]" for i in (1, 2, 3, 4)]
     assert shapes == [(100, 45), (100, 95), (100, 45), (100, 95)]
-
-
-def test_theorem1_given_factorization_matches_and_is_checked():
-    rng = np.random.default_rng(34)
-    noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
-    data = generate_dataset(40, make_covariance(10, 1.0, rng), make_beta(10), noise, rng)
-    c = data.X[2]
-    knobs = {"m_boot": 2000, "m_ref": 4000}
-    built = check_theorem1(data, noise, c, 2.0, 10.0, np.random.default_rng(8), **knobs)
-    given = check_theorem1(data, noise, c, 2.0, 10.0, np.random.default_rng(8), **knobs,
-                           fact=DesignFactorization(data.X))
-    assert (given.lhs, given.rhs) == (built.lhs, built.rhs)
-    with pytest.raises(InputError):
-        check_theorem1(data, noise, c, 2.0, 10.0, rng, fact=DesignFactorization(data.X[:, :-1]))
 
 
 def test_theorem1_bad_contrast_refused_before_any_draw():
@@ -205,9 +191,9 @@ def test_mspe_link_factorizes_once(monkeypatch):
 
     monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
     for estimator, varrho in (("ridge", 0.5), ("ols", None)):
-        shapes.clear()
         check_mspe_link(data, noise, estimator, reps=2, rng=rng, varrho=varrho, m_ref=2000)
-        assert shapes == [data.X.shape], estimator
+    # The ols check reuses the SVD the ridge check built on the same dataset.
+    assert shapes == [data.X.shape]
 
 
 def test_mspe_link_perfect_estimator_has_zero_mspe():
@@ -324,6 +310,20 @@ def test_theorem4_reports_one_sided_band():
     assert est.target_slope == 0.0
     assert est.band == (float("-inf"), 0.0)
     assert all(v > 0 for v in est.values)
+
+
+def test_theorem4_factorizes_once_per_design(monkeypatch):
+    shapes = []
+    init = DesignFactorization.__init__
+
+    def counting_init(self, X):
+        shapes.append(np.shape(X))
+        init(self, X)
+
+    monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
+    check_theorem4(1.0, 0.55, 0.5, (50, 100), design_trials=2, noise_reps=10,
+                   rng=np.random.default_rng(3))
+    assert shapes == [(50, 25)] * 2 + [(100, 50)] * 2
 
 
 def test_theorem4_matches_frozen_row_loop():

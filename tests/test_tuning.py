@@ -112,7 +112,6 @@ def test_cv_rejects_bad_grid_and_folds():
         dict(folds=2.5),
         dict(folds=1),
         dict(folds=61),
-        dict(fact=DesignFactorization(data.X[:50])),
     ):
         with pytest.raises(InputError):
             cv_select(data, rng=np.random.default_rng(0), **kwargs)
@@ -185,10 +184,10 @@ def test_cv_tall_design_solves_on_the_rank_side():
     """Blocks of 400 rows against k = 20: the (G, k, k) push-through system,
     not (G, 400, 400) held-out matrices (38 MB for the default 30 penalties)."""
     data = _refit_case(2000, 20, seed=6)
-    fact = DesignFactorization(data.X)
+    data.fact  # built before tracing, so the peak measures CV alone
     tracemalloc.start()
     try:
-        cv_select(data, rng=np.random.default_rng(0), fact=fact)
+        cv_select(data, rng=np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,7 +205,7 @@ def test_cv_penalty_batches_do_not_change_scores(monkeypatch):
 
 def test_cv_with_factorization_builds_none(monkeypatch):
     data = noisy_data(8)
-    fact = DesignFactorization(data.X)
+    data.fact
     built = []
     init = DesignFactorization.__init__
 
@@ -215,9 +214,9 @@ def test_cv_with_factorization_builds_none(monkeypatch):
         init(self, X)
 
     monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
-    given_fact = cv_select(data, rng=np.random.default_rng(4), fact=fact)
+    given_fact = cv_select(data, rng=np.random.default_rng(4))
     assert built == []
-    own_fact = cv_select(data, rng=np.random.default_rng(4))
+    own_fact = cv_select(Dataset(data.X, data.Y), rng=np.random.default_rng(4))
     assert built == [data.X.shape]
     np.testing.assert_array_equal(given_fact.cv_scores, own_fact.cv_scores)
 
