@@ -71,12 +71,7 @@ def center_residuals(residuals: np.ndarray) -> EmpiricalDistribution:
 
 def d2_empirical(F: EmpiricalDistribution, G: EmpiricalDistribution) -> float:
     """Exact W2 distance between two uniform empirical distributions."""
-    x, y = F.atoms, G.atoms
-    if x.size == y.size:
-        # Equal counts: the quantile coupling pairs order statistics directly.
-        d = x - y
-        return math.sqrt(float(d @ d) / x.size)
-    return math.sqrt(max(_kernels.w2sq_sorted(x, y), 0.0))
+    return math.sqrt(max(_kernels.w2sq_sorted(F.atoms, G.atoms), 0.0))
 
 
 def d2_to_reference(

@@ -20,7 +20,7 @@ import numpy as np
 from .designs import NoiseSpec, make_beta, make_covariance, sample_design
 from .errors import DegenerateContrastError, InputError
 from .linmodel import Dataset, DesignFactorization, mspe_exact, ridge_fit, theta_rule
-from .mallows import EmpiricalDistribution, center_residuals, d2_empirical, d2_to_reference
+from .mallows import EmpiricalDistribution, center_residuals, d2_to_reference
 from .resampling import rb_contrast_draws
 from .tuning import cv_select, exponent_to_penalty
 
@@ -91,6 +91,13 @@ class CheckReport:
         if not (np.isfinite(self.lhs) and np.isfinite(self.rhs)):
             raise InputError("check produced non-finite lhs or rhs")
 
+    @classmethod
+    def bound(cls, name: str, lhs: float, rhs: float, config: dict,
+              slack: float = 0.0) -> "CheckReport":
+        """The inequality lhs <= rhs: margin rhs - lhs, and it holds iff
+        lhs <= rhs + slack."""
+        return cls(name, lhs, rhs, rhs - lhs, lhs <= rhs + slack, config)
+
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -149,19 +156,22 @@ class RateEstimate:
         return reports
 
 
-def _fit_slope(n_grid: Sequence[float], values: Sequence[float]) -> float:
+def _fit_rate(n_grid: tuple, values: list, target: float, band: tuple) -> RateEstimate:
+    """The log-log slope fit of ``values`` against ``n_grid``."""
     logs_n = np.log(np.asarray(n_grid, dtype=np.float64))
     logs_v = np.log(np.asarray(values, dtype=np.float64))
     slope, _ = np.polyfit(logs_n, logs_v, 1)
-    return float(slope)
+    return RateEstimate(n_grid, tuple(values), float(slope), target, band)
 
 
-def _as_grid(n: Union[int, Sequence[int]]) -> tuple:
-    if np.isscalar(n):
-        return (int(n),)
-    grid = tuple(int(v) for v in n)
-    if not grid:
-        raise InputError("empty sample-size grid")
+def _as_grid(n: Union[int, Sequence[int]], trials: int, min_points: int = 2) -> tuple:
+    """The sample sizes as a tuple (a scalar n is a one-point grid), once the
+    grid has at least ``min_points`` sizes and ``trials`` is at least one."""
+    grid = (int(n),) if np.isscalar(n) else tuple(int(v) for v in n)
+    if len(grid) < min_points:
+        raise InputError(f"sample-size grid has {len(grid)} points, needs at least {min_points}")
+    if trials < 1:
+        raise InputError("need at least one trial per sample size")
     return grid
 
 
@@ -189,6 +199,40 @@ def _fresh_contrast_errors(sampler, weights: np.ndarray, reps: int,
     return out
 
 
+def _law_gap_sq(data: Dataset, beta: np.ndarray, sampler, sigma_sq: float, c: np.ndarray,
+                rho: float, pilot_rho: float, reps: int, rng: np.random.Generator) -> tuple:
+    """Squared W2 gap between the normalized fresh-noise law of a contrast error
+    and its residual-bootstrap law, with the variance and squared bias that
+    normalize it.
+
+    ``c`` is one contrast, shape (p,), giving three scalars, or k contrasts as
+    the columns of a (p, k) matrix, giving three length-k arrays.  The first
+    law holds ``reps`` errors c^T(b - beta) of the ridge fit at rho under
+    fresh noise, minus their mean (the bias) and over their sd; the second
+    holds ``reps`` bootstrap contrast draws from the pilot fit at pilot_rho,
+    over the same sd.  The fresh noise is drawn first, then the bootstrap
+    indices, both on ``rng``.  Both laws being uniform on ``reps`` atoms, the
+    squared distance is the mean squared gap of their order statistics.
+    """
+    weights = data.fact.contrast_weights(c, rho)
+    var = sigma_sq * np.sum(weights * weights, axis=0)
+    if np.any(var <= 0.0):
+        raise DegenerateContrastError("contrast has zero variance at this penalty")
+    shift = c.T @ data.fact.bias_vector(beta, rho)
+    sd = np.sqrt(var)
+    psi = np.sort((_fresh_contrast_errors(sampler, weights, reps, rng) - shift) / sd, axis=0)
+    phi = np.sort(rb_contrast_draws(data, c.T, rho, pilot_rho, reps, rng) / sd, axis=0)
+    diff = psi - phi
+    return np.sum(diff * diff, axis=0) / reps, var, shift * shift
+
+
+def _raw_gap_sq(sampler, n: int, m_ref: int, rng: np.random.Generator) -> float:
+    """Squared W2 distance between a raw n-sample of the noise and the noise law."""
+    raw = EmpiricalDistribution.from_samples(sampler(rng, n))
+    gap = d2_to_reference(raw, sampler, m_ref, rng)
+    return gap * gap
+
+
 def check_theorem1(
     data: Dataset,
     noise: NoiseSpec,
@@ -212,55 +256,30 @@ def check_theorem1(
         raise InputError("theorem check needs a simulation-mode dataset")
     if noise.sigma <= 0:
         raise InputError("noise scale must be positive for this check")
-    beta = data.beta_true
+    for name, size in (("m_boot", m_boot), ("m_ref", m_ref)):
+        if size < 1:
+            raise InputError(f"{name} must be at least 1, got {size}")
     sigma_sq = float(data.sigma_true) ** 2
-    c = np.asarray(c, dtype=np.float64)
-
-    a = data.fact.contrast_weights(c, rho)
-    v = sigma_sq * float(a @ a)
-    if v <= 0.0:
-        raise DegenerateContrastError("contrast has zero variance at this penalty")
-    shift = float(c @ data.fact.bias_vector(beta, rho))
-    bias_sq = shift * shift
-    sd = math.sqrt(v)
-
-    n = data.n
-    # Fresh-noise law of the centered contrast error, normalized.
     sampler = noise.sampler()
-    psi = _fresh_contrast_errors(sampler, a, m_boot, rng)
-    psi -= shift
-    psi /= sd
-    psi.sort()
-
-    # Bootstrap law from centered pilot residuals, same normalization.
-    phi = rb_contrast_draws(data, c, rho, pilot_rho, m_boot, rng) / sd
-    phi.sort()
-
-    lhs = d2_empirical(
-        EmpiricalDistribution(atoms=psi, centered=False),
-        EmpiricalDistribution(atoms=phi, centered=False),
-    )
-    lhs_sq = lhs * lhs
+    lhs, v, bias_sq = _law_gap_sq(data, data.beta_true, sampler, sigma_sq,
+                                  np.asarray(c, dtype=np.float64), rho, pilot_rho, m_boot, rng)
 
     fhat = center_residuals(ridge_fit(data, pilot_rho).residuals)
     resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
-    rhs = (resid_gap * resid_gap) / sigma_sq + bias_sq / v
-
-    tol = REL_SLACK * rhs + ABS_SLACK
-    return CheckReport(
-        name="theorem1",
-        lhs=lhs_sq,
-        rhs=rhs,
-        margin=rhs - lhs_sq,
-        holds=lhs_sq <= rhs + tol,
-        config={
-            "n": n,
+    rhs = float((resid_gap * resid_gap) / sigma_sq + bias_sq / v)
+    return CheckReport.bound(
+        "theorem1",
+        float(lhs),
+        rhs,
+        {
+            "n": data.n,
             "p": data.p,
             "rho": float(rho),
             "pilot_rho": float(pilot_rho),
             "m_boot": int(m_boot),
             "m_ref": int(m_ref),
         },
+        slack=REL_SLACK * rhs + ABS_SLACK,
     )
 
 
@@ -320,21 +339,14 @@ def check_mspe_link(
             resid = y - X @ data.fact.coefficients(y, rho_used)
         gap = d2_to_reference(center_residuals(resid), sampler, m_ref, rng)
         lhs_acc += gap * gap
+        raw_acc += _raw_gap_sq(sampler, n, m_ref, rng)
 
-        raw = EmpiricalDistribution.from_samples(sampler(rng, n))
-        raw_gap = d2_to_reference(raw, sampler, m_ref, rng)
-        raw_acc += raw_gap * raw_gap
-
-    lhs = lhs_acc / reps
     rhs = 2.0 * mspe + 2.0 * (raw_acc / reps) + 2.0 * sigma_sq / n
-    tol = REL_SLACK * rhs + ABS_SLACK
-    return CheckReport(
-        name=f"mspe_link_{estimator}",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        holds=lhs <= rhs + tol,
-        config={
+    return CheckReport.bound(
+        f"mspe_link_{estimator}",
+        lhs_acc / reps,
+        rhs,
+        {
             "n": n,
             "p": data.p,
             "estimator": estimator,
@@ -343,6 +355,7 @@ def check_mspe_link(
             "m_ref": int(m_ref),
             "mspe": float(mspe),
         },
+        slack=REL_SLACK * rhs + ABS_SLACK,
     )
 
 
@@ -363,11 +376,7 @@ def rate_mspe(
     """
     if nu <= 0:
         raise InputError("decay exponent must be positive")
-    grid = _as_grid(n_grid)
-    if len(grid) < 2:
-        raise InputError("rate fit needs at least two sample sizes")
-    if trials < 1:
-        raise InputError("need at least one trial per sample size")
+    grid = _as_grid(n_grid, trials)
     theta = theta_rule(nu)
     values = []
     for n in grid:
@@ -377,20 +386,13 @@ def rate_mspe(
             X, beta = _draw_design(n, nu, rng)
             acc += mspe_exact(DesignFactorization(X), beta, varrho, _SIGMA_SQ)
         values.append(acc / trials)
-    slope = _fit_slope(grid, values)
     if nu < 0.5:
         target = -2.0 * nu / 3.0
     elif nu > 0.5:
         target = -nu / (nu + 1.0)
     else:
         target = -1.0 / 3.0
-    return RateEstimate(
-        n_grid=grid,
-        values=tuple(values),
-        fitted_slope=slope,
-        target_slope=target,
-        band=(target - _BAND_HALFWIDTH, target + _BAND_HALFWIDTH),
-    )
+    return _fit_rate(grid, values, target, (target - _BAND_HALFWIDTH, target + _BAND_HALFWIDTH))
 
 
 def rate_d2_empirical(
@@ -421,35 +423,21 @@ def rate_d2_empirical(
     to every distance and flattens the fit; keep every grid point at
     n <= m_ref / 10 so that this bias stays small.
     """
-    grid = _as_grid(n_grid)
-    if len(grid) < 2:
-        raise InputError("rate fit needs at least two sample sizes")
-    if trials < 1:
-        raise InputError("need at least one trial per sample size")
+    grid = _as_grid(n_grid, trials)
     sampler = noise.sampler()
     values = []
     for n in grid:
         acc = 0.0
         for _ in range(trials):
-            raw = EmpiricalDistribution.from_samples(sampler(rng, n))
-            gap = d2_to_reference(raw, sampler, m_ref, rng)
-            acc += gap * gap
+            acc += _raw_gap_sq(sampler, n, m_ref, rng)
         mean_sq = acc / trials
         values.append(mean_sq / math.log(max(n, 2)))
-    slope = _fit_slope(grid, values)
-    target = -0.5
-    return RateEstimate(
-        n_grid=grid,
-        values=tuple(values),
-        fitted_slope=slope,
-        target_slope=target,
-        band=(float("-inf"), target + _BAND_HALFWIDTH),
-    )
+    return _fit_rate(grid, values, -0.5, (float("-inf"), -0.5 + _BAND_HALFWIDTH))
 
 
 def _event_rates(eta: float, gamma: float, theta: float) -> tuple:
-    """Reference decay exponents for the three per-design events."""
-    bias_rate = gamma  # relative to the explicit 2 log(n+2) n^(-gamma) envelope
+    """Reference decay exponents of the variance and mspe events; the bias
+    event has the explicit envelope 2 log(n+2) n^(-gamma) instead."""
     var_rate = 1.0 - gamma / eta if eta > 0 else float("-inf")
     pieces = [theta]
     if eta > 0:
@@ -457,7 +445,7 @@ def _event_rates(eta: float, gamma: float, theta: float) -> tuple:
     if eta < 0.5:
         pieces.append(2.0 * (eta - theta))
     mspe_rate = max(min(pieces), 0.0)
-    return bias_rate, var_rate, mspe_rate
+    return var_rate, mspe_rate
 
 
 def check_design_events(
@@ -491,10 +479,8 @@ def check_design_events(
         raise InputError("eta must be positive")
     if not (0.0 < gamma < min(eta, 1.0)):
         raise InputError("gamma must lie strictly between 0 and min(eta, 1)")
-    if trials < 1:
-        raise InputError("need at least one design per sample size")
-    grid = tuple(sorted(_as_grid(n)))
-    _, var_rate, mspe_rate = _event_rates(eta, gamma, theta)
+    grid = tuple(sorted(_as_grid(n, trials, min_points=1)))
+    var_rate, mspe_rate = _event_rates(eta, gamma, theta)
 
     def stats(size: int, gen: np.random.Generator):
         X, beta = _draw_design(size, eta, gen)
@@ -543,16 +529,8 @@ def check_design_events(
                 hits[2] += 1
         freqs = hits / trials
         for label, freq in zip(("bias_event", "variance_event", "mspe_event"), freqs):
-            reports.append(
-                CheckReport(
-                    name=label,
-                    lhs=float(threshold),
-                    rhs=float(freq),
-                    margin=float(freq) - float(threshold),
-                    holds=float(threshold) <= float(freq),
-                    config={**base_config, "n": int(size)},
-                )
-            )
+            reports.append(CheckReport.bound(label, float(threshold), float(freq),
+                                             {**base_config, "n": int(size)}))
     return reports
 
 
@@ -578,19 +556,16 @@ def check_theorem4(
 
     Designs are drawn from child generators seeded once per (size,
     design) pair, so increasing ``noise_reps`` re-evaluates the same
-    designs rather than drawing new ones.  Both laws of all n row
-    contrasts come from one set of draws: the fresh noise first, then the
-    bootstrap indices, on the design's noise generator.  While
-    noise_reps * n <= 4,000,000, as under every default and reduced knob,
-    the fresh noise is one chunk, so its stream equals one unchunked draw.
+    designs rather than drawing new ones.  All n row contrasts share one
+    set of draws on the design's noise generator.  While noise_reps * n <=
+    4,000,000, as under every default and reduced knob, the fresh noise is
+    one chunk, so its stream equals one unchunked draw.
     """
     if not (eta / (1.0 + eta) < gamma < min(eta, 1.0)):
         raise InputError("gamma must lie strictly between eta/(1+eta) and min(eta, 1)")
-    grid = _as_grid(n_grid)
-    if len(grid) < 2:
-        raise InputError("trend check needs at least two sample sizes")
-    if design_trials < 1 or noise_reps < 2:
-        raise InputError("need at least one design and two noise draws")
+    grid = _as_grid(n_grid, design_trials)
+    if noise_reps < 2:
+        raise InputError("need at least two noise draws")
     sampler = _THEOREM4_NOISE.sampler()
     sigma_sq = _THEOREM4_NOISE.sigma ** 2
 
@@ -606,25 +581,12 @@ def check_theorem4(
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
             X, beta = _draw_design(size, eta, gen_design)
             data = Dataset(X, X @ beta + sampler(gen_design, size))
-
-            # Column i holds the smoother row a_i of the row contrast X_i.
-            weights = data.fact.contrast_weights(X.T, rho)
-            sd = np.sqrt(sigma_sq * np.sum(weights * weights, axis=0))
-            shifts = X @ data.fact.bias_vector(beta, rho)
-            psi = (_fresh_contrast_errors(sampler, weights, noise_reps, gen_noise) - shifts) / sd
-            phi = rb_contrast_draws(data, X, rho, varrho, noise_reps, gen_noise) / sd
-            diff = np.sort(psi, axis=0) - np.sort(phi, axis=0)
-            worst[d] = float(np.max(np.sum(diff * diff, axis=0))) / noise_reps
+            # Column i of X^T is the row contrast X_i.
+            gaps, _, _ = _law_gap_sq(data, beta, sampler, sigma_sq, X.T, rho, varrho,
+                                     noise_reps, gen_noise)
+            worst[d] = float(np.max(gaps))
         medians.append(float(np.median(worst)))
-
-    slope = _fit_slope(grid, medians)
-    return RateEstimate(
-        n_grid=grid,
-        values=tuple(medians),
-        fitted_slope=slope,
-        target_slope=0.0,
-        band=(float("-inf"), 0.0),
-    )
+    return _fit_rate(grid, medians, 0.0, (float("-inf"), 0.0))
 
 
 def wishart_square(
@@ -676,8 +638,8 @@ def check_wishart(mc_samples: int, rng: np.random.Generator) -> list:
     G = rng.standard_normal((3, 3))
     closed, mc = wishart_square(G @ G.T / 3.0, 5, mc_samples, rng)
     rel = float(np.linalg.norm(mc - closed) / np.linalg.norm(closed))
-    agree = CheckReport("wishart_mc", rel, 0.02, 0.02 - rel, rel <= 0.02,
-                        {"n": 5, "p": 3, "mc_samples": int(mc_samples)})
+    agree = CheckReport.bound("wishart_mc", rel, 0.02,
+                              {"n": 5, "p": 3, "mc_samples": int(mc_samples)})
     return [scalar, agree]
 
 
@@ -709,20 +671,21 @@ def check_signed_svd(matrices: int, rng: np.random.Generator) -> list:
     draws of 10 x 4, the mean squared norm of the first row of H is p/n = 0.4
     to within 0.01.
     """
+    if matrices < 1:
+        raise InputError(f"need at least one matrix, got {matrices}")
     worst = 0.0
     for _ in range(50):
         Z = rng.standard_normal((20, 8))
         H, L, G = signed_svd(Z)
         worst = max(worst, float(np.linalg.norm(H @ L @ G.T - Z) / np.linalg.norm(Z)))
-    reconstruct = CheckReport("signed_svd_reconstruct", worst, 1e-10, 1e-10 - worst,
-                              worst <= 1e-10, {"n": 20, "p": 8})
+    reconstruct = CheckReport.bound("signed_svd_reconstruct", worst, 1e-10, {"n": 20, "p": 8})
     total = 0.0
     for _ in range(matrices):
         H, _, _ = signed_svd(rng.standard_normal((10, 4)))
         total += float(H[0] @ H[0])
     dev = abs(total / matrices - 0.4)
-    row_mass = CheckReport("signed_svd_row_mass", dev, 0.01, 0.01 - dev, dev <= 0.01,
-                           {"n": 10, "p": 4, "matrices": int(matrices)})
+    row_mass = CheckReport.bound("signed_svd_row_mass", dev, 0.01,
+                                 {"n": 10, "p": 4, "matrices": int(matrices)})
     return [reconstruct, row_mass]
 
 
@@ -772,15 +735,7 @@ def lm_tail_check(
         freq_up = float(np.mean(q > upper))
         freq_lo = float(np.mean(q < lower))
         for label, freq in (("lm_upper_tail", freq_up), ("lm_lower_tail", freq_lo)):
-            limit = bound + 3.0 * se
-            reports.append(
-                CheckReport(
-                    name=label,
-                    lhs=freq,
-                    rhs=bound,
-                    margin=bound - freq,
-                    holds=freq <= limit,
-                    config={"t": t, "trials": int(trials), "n": int(p), "se": se},
-                )
-            )
+            reports.append(CheckReport.bound(label, freq, bound,
+                                             {"t": t, "trials": int(trials), "n": int(p), "se": se},
+                                             slack=3.0 * se))
     return reports

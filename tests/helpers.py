@@ -4,12 +4,15 @@ Every oracle here recomputes a target quantity by a route the library
 never uses, so agreement is evidence rather than tautology.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
-from ridgeboot.linmodel import DesignFactorization
-from ridgeboot.mallows import center_residuals
-from ridgeboot.theory import _THEOREM4_NOISE, _draw_design
+from ridgeboot.linmodel import DesignFactorization, ridge_fit
+from ridgeboot.mallows import EmpiricalDistribution, center_residuals, d2_empirical, d2_to_reference
+from ridgeboot.resampling import rb_contrast_draws
+from ridgeboot.theory import _PSI_CHUNK_CELLS, _THEOREM4_NOISE, _draw_design
 from ridgeboot.tuning import exponent_to_penalty
 
 # Knobs that run each check suite in about a second, for tests of the
@@ -138,6 +141,36 @@ def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, 
             worst[d] = float(np.max(row_d2sq))
         medians.append(float(np.median(worst)))
     return medians
+
+
+def theorem1_sides(data, noise, c, rho, pilot_rho, rng, m_boot, m_ref):
+    """(lhs, rhs) of ``check_theorem1`` by its earlier inline form, frozen: the
+    variance a @ a, the shift c @ bias, the fresh noise in chunks of
+    _PSI_CHUNK_CELLS cells, then the sorted bootstrap law, and the gap as a
+    ``d2_empirical`` distance squared.  The library now takes the gap from the
+    law-gap helper it shares with ``check_theorem4``.
+    """
+    sigma_sq = float(data.sigma_true) ** 2
+    c = np.asarray(c, dtype=float)
+    a = data.fact.contrast_weights(c, rho)
+    v = sigma_sq * float(a @ a)
+    shift = float(c @ data.fact.bias_vector(data.beta_true, rho))
+    sd = math.sqrt(v)
+    sampler = noise.sampler()
+    n = data.n
+    psi = np.empty(m_boot)
+    chunk = max(1, _PSI_CHUNK_CELLS // n)
+    done = 0
+    while done < m_boot:
+        take = min(chunk, m_boot - done)
+        psi[done:done + take] = sampler(rng, take * n).reshape(take, n) @ a
+        done += take
+    psi = np.sort((psi - shift) / sd)
+    phi = np.sort(rb_contrast_draws(data, c, rho, pilot_rho, m_boot, rng) / sd)
+    lhs = d2_empirical(EmpiricalDistribution(atoms=psi), EmpiricalDistribution(atoms=phi))
+    fhat = center_residuals(ridge_fit(data, pilot_rho).residuals)
+    resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
+    return lhs * lhs, resid_gap * resid_gap / sigma_sq + shift * shift / v
 
 
 def ridge_lstsq(X, Y, rho):

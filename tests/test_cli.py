@@ -256,6 +256,26 @@ def test_check_unknown_override_key(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "suite, text, message",
+    [
+        ("theorem1", "m_boot = 0\n", "m_boot must be at least 1"),
+        ("theorem1", "m_boot = -5\n", "m_boot must be at least 1"),
+        ("appendix", "svd_matrices = 0\n", "at least one matrix"),
+        ("appendix", "svd_matrices = -3\n", "at least one matrix"),
+    ],
+    ids=["m_boot-0", "m_boot-neg", "svd-0", "svd-neg"],
+)
+def test_check_rejects_empty_sample_knobs(tmp_path, capsys, suite, text, message):
+    ovr = tmp_path / "knobs.cfg"
+    ovr.write_text(text + ("wishart_mc = 10\nlm_trials = 10\n" if suite == "appendix" else ""))
+    out = tmp_path / "r.csv"
+    code = main(["check", "--suite", suite, "--config", str(ovr), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["check", "--suite", "bogus", "--out", "/tmp/x.csv"])

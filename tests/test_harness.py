@@ -1,14 +1,17 @@
 """Experiment driver: seeding, config files, aggregation, and suite plumbing."""
 
+import ast
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ridgeboot
 from helpers import REDUCED_KNOBS
+from ridgeboot import harness
 from ridgeboot.designs import make_covariance, sample_design, sample_noise
 from ridgeboot.errors import ConfigError, RidgebootError
 from ridgeboot.harness import (
@@ -297,6 +300,21 @@ def test_run_check_suite_rejects_empty_or_endless_knobs(suite, knobs):
     check; both are ConfigErrors before any work."""
     with pytest.raises(ConfigError):
         run_check_suite(suite, 0, overrides=knobs)
+
+
+def test_readme_knob_table_matches_suites():
+    """The README's table of check knobs lists every suite's knobs with their
+    defaults, names and values, and nothing else."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| suite | knob | default | meaning |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        suite, knob, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        table.setdefault(suite, {})[knob] = ast.literal_eval(default)
+    assert table == {suite: defaults for suite, (_, defaults) in harness._SUITES.items()}
 
 
 @pytest.mark.parametrize("suite", CHECK_SUITES)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import w2sq_lp
+from ridgeboot import _kernels
 from ridgeboot.designs import NoiseSpec
 from ridgeboot.errors import InputError
 from ridgeboot.mallows import (
@@ -69,19 +70,34 @@ def test_d2_matches_lp_exhaustive_small():
                 assert got == pytest.approx(want, abs=1e-9), (m, k, rep)
 
 
-def test_equal_count_shortcut_agrees_with_merged_grid():
+def test_equal_count_matches_order_statistic_pairing():
+    # At equal counts the quantile coupling pairs order statistics directly;
+    # the merged grid must give that distance, at equal sizes and on the same
+    # laws written with each atom repeated 2 and 3 times.
     rng = np.random.default_rng(7)
     for _ in range(1000):
         m = int(rng.integers(1, 30))
         x = np.sort(rng.standard_normal(m))
         y = np.sort(rng.standard_normal(m))
         direct = float(np.sqrt(np.mean((x - y) ** 2)))
-        # Forcing unequal representations of the same laws hits the
-        # merged-grid path: duplicate each atom of both sides.
-        x2 = np.repeat(x, 2)
-        y3 = np.repeat(y, 3)
-        general = d2_empirical(dist(x2), dist(y3))
+        assert d2_empirical(dist(x), dist(y)) == pytest.approx(direct, abs=1e-12)
+        general = d2_empirical(dist(np.repeat(x, 2)), dist(np.repeat(y, 3)))
         assert general == pytest.approx(direct, abs=1e-12)
+
+
+def test_equal_sizes_take_the_kernel(monkeypatch):
+    calls = []
+    kernel = _kernels.w2sq_sorted
+
+    def spy(x, y):
+        calls.append((x.size, y.size))
+        return kernel(x, y)
+
+    monkeypatch.setattr(_kernels, "w2sq_sorted", spy)
+    f = dist(np.random.default_rng(8).standard_normal(25))
+    assert d2_empirical(f, f) == 0.0
+    assert d2_empirical(f, dist(f.atoms + 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert calls == [(25, 25), (25, 25)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import REDUCED_KNOBS, theorem4_medians_loop
+from helpers import REDUCED_KNOBS, theorem1_sides, theorem4_medians_loop
 from ridgeboot import theory
 from ridgeboot.designs import NoiseSpec, generate_dataset, make_beta, make_covariance, sample_design
 from ridgeboot.errors import InputError
@@ -15,8 +15,10 @@ from ridgeboot.theory import (
     CheckReport,
     RateEstimate,
     _fresh_contrast_errors,
+    _law_gap_sq,
     check_design_events,
     check_mspe_link,
+    check_signed_svd,
     check_theorem1,
     check_theorem4,
     lm_tail_check,
@@ -35,6 +37,18 @@ def test_check_report_rejects_nonfinite():
         CheckReport(name="x", lhs=float("inf"), rhs=1.0, margin=0.0, holds=False)
     with pytest.raises(InputError):
         CheckReport(name="x", lhs=0.0, rhs=float("nan"), margin=0.0, holds=False)
+
+
+def test_check_report_bound_rule():
+    rhs, slack = 0.3, 0.07
+    edge = rhs + slack
+    rep = CheckReport.bound("x", edge, rhs, {"n": 3}, slack=slack)
+    assert rep.margin == rhs - edge
+    assert rep.holds
+    assert rep.config == {"n": 3}
+    assert not CheckReport.bound("x", np.nextafter(edge, np.inf), rhs, {}, slack=slack).holds
+    assert CheckReport.bound("x", rhs, rhs, {}).holds
+    assert not CheckReport.bound("x", np.nextafter(rhs, np.inf), rhs, {}).holds
 
 
 def test_rate_estimate_validation():
@@ -91,6 +105,46 @@ def test_theorem1_holds_on_fitted_pilot():
     rep = check_theorem1(data, noise, c, rho=2.0, pilot_rho=10.0,
                          rng=rng, m_boot=4000, m_ref=20000)
     assert rep.holds
+
+
+@pytest.mark.parametrize("family", ["scaled_t", "normal", "two_point"])
+def test_theorem1_matches_frozen_inline_form(family):
+    rng = np.random.default_rng(35)
+    noise = NoiseSpec(family=family, sigma=0.3, dof=6.0)
+    data = generate_dataset(30, make_covariance(12, 0.8, rng), make_beta(12), noise, rng)
+    args = (data, noise, data.X[2], 3.0, 8.0)
+    rep = check_theorem1(*args, np.random.default_rng(5), m_boot=3000, m_ref=6000)
+    lhs, rhs = theorem1_sides(*args, np.random.default_rng(5), 3000, 6000)
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+    assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_law_gap_of_contrast_matrix_matches_single_contrasts():
+    rng = np.random.default_rng(36)
+    noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
+    data = generate_dataset(40, make_covariance(15, 1.0, rng), make_beta(15), noise, rng)
+    C = rng.standard_normal((15, 3))
+    args = (data, data.beta_true, noise.sampler(), data.sigma_true ** 2)
+    g = np.random.default_rng(3)
+    gaps, var, bias_sq = _law_gap_sq(*args, C, 2.0, 6.0, 500, g)
+    assert gaps.shape == var.shape == bias_sq.shape == (3,)
+    for j in range(3):
+        h = np.random.default_rng(3)
+        one = _law_gap_sq(*args, C[:, j], 2.0, 6.0, 500, h)
+        np.testing.assert_allclose([gaps[j], var[j], bias_sq[j]], one, rtol=1e-12)
+        assert h.bit_generator.state == g.bit_generator.state
+
+
+@pytest.mark.parametrize("knob, value", [("m_boot", -5), ("m_boot", 0), ("m_ref", 0)])
+def test_theorem1_rejects_empty_samples_before_any_draw(knob, value):
+    rng = np.random.default_rng(37)
+    noise = NoiseSpec(family="normal", sigma=0.2)
+    data = generate_dataset(20, make_covariance(5, 1.0, rng), make_beta(5), noise, rng)
+    state = rng.bit_generator.state
+    sizes = {"m_boot": 2000, "m_ref": 4000, knob: value}
+    with pytest.raises(InputError, match=f"{knob} must be at least 1"):
+        check_theorem1(data, noise, np.ones(5), 2.0, 10.0, rng, **sizes)
+    assert rng.bit_generator.state == state
 
 
 def test_theorem1_bootstrap_memory_is_chunked():
@@ -408,6 +462,15 @@ def test_signed_svd_reconstruction_and_convention():
         diag = np.diag(L)
         assert np.allclose(L, np.diag(diag), atol=0.0)
         assert np.all(np.diff(diag) <= 0.0) and np.all(diag >= 0.0)
+
+
+@pytest.mark.parametrize("matrices", [0, -3])
+def test_check_signed_svd_needs_a_matrix(matrices):
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match="at least one matrix"):
+        check_signed_svd(matrices, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_signed_svd_rejects_non_matrix():
