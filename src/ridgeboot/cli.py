@@ -28,6 +28,7 @@ from .harness import (  # noqa: E402
     FIELD_TYPES,
     REQUIRED_FIELDS,
     ExperimentConfig,
+    check_seed,
     preset_config,
     read_config,
     read_key_values,
@@ -101,11 +102,12 @@ def _parse_contrast(spec: str, X: np.ndarray) -> np.ndarray:
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:
+    seed = check_seed(args.seed)
     X = read_matrix_csv(args.design)
     Y = read_vector_csv(args.response)
     data = Dataset(X, Y)
     c = _parse_contrast(args.contrast, X)
-    gen = np.random.default_rng(seed_split(args.seed, (0,)))
+    gen = np.random.default_rng(seed_split(seed, (0,)))
 
     rho = args.rho
     pilot = args.pilot_rho

@@ -53,6 +53,7 @@ __all__ = [
     "Table1Result",
     "METHODS",
     "seed_split",
+    "check_seed",
     "run_table1",
     "read_config",
     "read_key_values",
@@ -96,6 +97,16 @@ def seed_split(master: int, indices: Sequence[int]) -> int:
         salt = (pos * 0x9E3779B97F4A7C15) & _MASK64
         state = _splitmix64(state ^ _splitmix64(int(ix) & _MASK64) ^ salt)
     return state
+
+
+def check_seed(seed) -> int:
+    """The master seed as an int, or ConfigError unless it lies in [0, 2^64).
+
+    ``seed_split`` keeps the low 64 bits, so a seed outside that range would
+    silently alias one inside it (-1 runs as 2^64 - 1)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < (1 << 64)):
+        raise ConfigError("seed must be a 64-bit nonnegative integer")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -143,8 +154,12 @@ class ExperimentConfig:
             raise ConfigError("grid_min_factor must be below grid_max_factor")
         if self.cv_per_design not in (0, 1):
             raise ConfigError("cv_per_design must be 0 or 1")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < (1 << 64)):
-            raise ConfigError("seed must be a 64-bit nonnegative integer")
+        if self.p >= self.n:
+            raise ConfigError(
+                f"p = {self.p} must be below n = {self.n}: the max-leverage contrast row "
+                "and the normal and ols_rb intervals need p < n"
+            )
+        check_seed(self.seed)
         if self.noise_family not in NOISE_FAMILIES:
             raise ConfigError(f"noise_family must be one of {', '.join(NOISE_FAMILIES)}")
         # Validate the noise family/dof combination eagerly.
@@ -588,4 +603,4 @@ def run_check_suite(suite: str, seed: int, overrides: Optional[Mapping] = None) 
     runner, defaults = _SUITES[suite]
     kinds = {key: type(value) for key, value in defaults.items()}
     knobs = {**defaults, **_typed(overrides or {}, kinds, "override")}
-    return [_report_row(rep, row_seed) for rep, row_seed in runner(int(seed), knobs)]
+    return [_report_row(rep, row_seed) for rep, row_seed in runner(check_seed(seed), knobs)]

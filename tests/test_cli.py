@@ -168,6 +168,19 @@ def test_simulate_rejects_more_folds_than_rows(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("p", ["30", "40"], ids=["p-eq-n", "p-gt-n"])
+def test_simulate_rejects_p_not_below_n(tmp_path, capsys, p):
+    # The max-leverage contrast row and the normal and ols_rb intervals need
+    # p < n: the run is refused before any design is drawn.
+    out = tmp_path / "x.csv"
+    args = ["simulate", "--out", str(out), "--n", "30", "--p", p, "--eta", "0.5",
+            "--N1", "1", "--N2", "3", "--B", "50"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "need p < n" in err
+    assert not out.exists()
+
+
 def test_simulate_config_and_preset_conflict(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     write_config(ExperimentConfig(n=10, p=2, eta=0.5, N1=1, N2=4, B=50), str(cfg))
@@ -273,6 +286,26 @@ def test_check_rejects_empty_sample_knobs(tmp_path, capsys, suite, text, message
     code = main(["check", "--suite", suite, "--config", str(ovr), "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)], ids=["minus-one", "two-to-64"])
+def test_seed_outside_64_bits_is_rejected(ci_files, tmp_path, capsys, seed):
+    # seed_split keeps the low 64 bits, so -1 would alias 2^64 - 1.
+    design, response = ci_files
+    for method in ("ridge_rb", "normal"):
+        assert main(_ci_args(design, response, method=method, rho=0.5, pilot_rho=2.0,
+                             B=50, seed=seed)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be a 64-bit nonnegative integer" in captured.err
+    ovr = tmp_path / "knobs.cfg"
+    ovr.write_text("sweep = 1\n")
+    out = tmp_path / "r.csv"
+    code = main(["check", "--suite", "mspe-link", "--config", str(ovr), "--out", str(out),
+                 "--seed", seed])
+    assert code == 2
+    assert "seed must be a 64-bit nonnegative integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -123,6 +123,8 @@ def test_config_validation():
         dict(ok, noise_family="bogus"),
         dict(ok, grid_min_factor=10.0, grid_max_factor=1.0),
         dict(ok, grid_min_factor=0.0),
+        dict(ok, p=10),  # p = n
+        dict(ok, p=12),  # p > n
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

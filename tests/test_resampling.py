@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from ridgeboot.errors import (
@@ -277,10 +278,36 @@ def test_normal_interval_multiplier():
     assert half / tau == pytest.approx(norm.ppf(0.95), rel=1e-9)
 
 
+def _ndtri_domain_sample() -> np.ndarray:
+    """Arguments for the ndtri port: bulk, both tails, branch edges, specials."""
+    rng = np.random.default_rng(11)
+    edges = []
+    for edge in (1.0 - np.exp(-2.0), np.exp(-2.0), np.exp(-32.0), 1.0 - np.exp(-32.0)):
+        below = above = edge
+        for _ in range(20):
+            edges += [below, above]
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+    return np.concatenate([
+        rng.uniform(0.0, 1.0, 120_000),  # both halves of (0, 1)
+        10.0 ** -rng.uniform(0.0, 300.0, 20_000),  # lower tail, to 1e-300
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 20_000),  # upper tail
+        1.0 - 10.0 ** -np.arange(1.0, 17.0),  # 1 - 1e-k, k = 1..16
+        edges,  # nextafter steps around each branch boundary
+        [5e-324, 1e-300, 0.0, 1.0, -0.1, 1.1, np.nan, 0.5],
+    ])
+
+
 def test_normal_quantile_is_norm_ppf_bit_for_bit():
+    # The port must reproduce scipy's cephes ndtri exactly, on every branch.
+    qs = _ndtri_domain_sample()
+    got = np.array([_normal_quantile(float(q)) for q in qs])
+    want = ndtri(qs)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    mismatched = np.flatnonzero(got[finite].view(np.int64) != want[finite].view(np.int64))
+    assert mismatched.size == 0, qs[finite][mismatched[:5]]
     levels = [(1.0 + level) / 2.0 for level in (0.8, 0.9, 0.95, 0.99)]
-    qs = np.concatenate([levels, np.random.default_rng(11).uniform(0.5, 1.0, 10_000)])
-    assert [_normal_quantile(float(q)) for q in qs] == norm.ppf(qs).tolist()
+    assert [_normal_quantile(q) for q in levels] == norm.ppf(levels).tolist()
 
 
 def test_normal_interval_zero_width_on_interpolation():
