@@ -151,7 +151,8 @@ def generate_dataset(
     sigma = spec.sigma if spec.sigma > 0 else None
     if sigma is None:
         # sigma = 0 is allowed for exactness tests; Dataset demands a positive
-        # sigma in simulation mode, so carry a tiny placeholder via observed mode.
+        # sigma in simulation mode, so return an observed-mode dataset, without
+        # beta_true and sigma_true.
         return Dataset(X=X, Y=X @ beta + eps)
     return Dataset(X=X, Y=X @ beta + eps, beta_true=beta, sigma_true=float(sigma))
 

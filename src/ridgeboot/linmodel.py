@@ -1,5 +1,6 @@
-"""Deterministic linear-model computations: ridge/OLS fits, leverage scores,
-contrast weights, the ridge bias vector and the exact prediction error.
+"""Deterministic linear-model computations: ridge/OLS coefficients and
+residuals, leverage scores, contrast weights, the ridge bias vector and the
+exact prediction error.
 
 Everything penalty-dependent is computed from one thin SVD of the design,
 reused across penalties (the harness evaluates many penalties per design).
@@ -89,16 +90,6 @@ class Dataset:
         return other
 
 
-@dataclass(frozen=True)
-class RidgeFit:
-    """Fitted ridge (or OLS, rho = 0) solution on one dataset."""
-
-    rho: float
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    fitted: np.ndarray
-
-
 class DesignFactorization:
     """Thin SVD of a design, shared across every penalty evaluated on it."""
 
@@ -136,6 +127,10 @@ class DesignFactorization:
         g = self.gain(rho)
         return self.Vt.T @ (g * (self.U.T @ Y))
 
+    def residuals(self, Y: np.ndarray, rho: float) -> np.ndarray:
+        """Ridge (OLS at rho = 0) residuals Y - X beta_rho."""
+        return Y - self.X @ self.coefficients(Y, rho)
+
     def contrast_weights(self, c: np.ndarray, rho: float) -> np.ndarray:
         """Row vector a = c^T (X^T X + rho I)^{-1} X^T as a length-n array.
 
@@ -168,14 +163,6 @@ class DesignFactorization:
         if not self.full_column_rank:
             raise SingularSystemError("leverage scores require full column rank, p <= n")
         return np.sum(self.U * self.U, axis=1)
-
-
-def ridge_fit(data: Dataset, rho: float) -> RidgeFit:
-    """Ridge solution at raw penalty rho; rho = 0 demands full column rank."""
-    coef = data.fact.coefficients(data.Y, float(rho))
-    fitted = data.X @ coef
-    residuals = data.Y - fitted
-    return RidgeFit(rho=float(rho), coefficients=coef, residuals=residuals, fitted=fitted)
 
 
 def mspe_exact(

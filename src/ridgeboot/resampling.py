@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateContrastError, InputError, UnestimableVarianceError
-from .linmodel import Dataset, ridge_fit
+from .linmodel import Dataset
 from .mallows import center_residuals
 
 # Draws run in chunks of at most 16,000 cells (bar the tail rule below), so
@@ -99,8 +99,7 @@ def rb_contrast_draws(
     weights = data.fact.contrast_weights(np.asarray(c, dtype=np.float64).T, float(rho))
     if np.any(np.sum(weights * weights, axis=0) <= 0.0):
         raise DegenerateContrastError("contrast has zero variance at this penalty")
-    pilot = ridge_fit(data, float(pilot_rho))
-    atoms = center_residuals(pilot.residuals).atoms
+    atoms = center_residuals(data.fact.residuals(data.Y, float(pilot_rho)))
     return _draw_contrast_values(atoms, weights, int(B), rng)
 
 
@@ -161,8 +160,8 @@ def ols_sigma_sq_hat(data: Dataset) -> float:
     """Unbiased noise-variance estimate ||Y - X b_LS||^2 / (n - p)."""
     if data.p >= data.n:
         raise UnestimableVarianceError("sigma^2 estimation requires p <= n - 1")
-    fit = ridge_fit(data, 0.0)
-    return float(fit.residuals @ fit.residuals) / (data.n - data.p)
+    resid = data.fact.residuals(data.Y, 0.0)
+    return float(resid @ resid) / (data.n - data.p)
 
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,

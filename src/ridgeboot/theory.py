@@ -19,8 +19,8 @@ import numpy as np
 
 from .designs import NoiseSpec, make_beta, make_covariance, sample_design
 from .errors import DegenerateContrastError, InputError
-from .linmodel import Dataset, DesignFactorization, mspe_exact, ridge_fit, theta_rule
-from .mallows import EmpiricalDistribution, center_residuals, d2_to_reference
+from .linmodel import Dataset, DesignFactorization, mspe_exact, theta_rule
+from .mallows import center_residuals, d2_to_reference
 from .resampling import rb_contrast_draws
 from .tuning import cv_select, exponent_to_penalty
 
@@ -228,8 +228,7 @@ def _law_gap_sq(data: Dataset, beta: np.ndarray, sampler, sigma_sq: float, c: np
 
 def _raw_gap_sq(sampler, n: int, m_ref: int, rng: np.random.Generator) -> float:
     """Squared W2 distance between a raw n-sample of the noise and the noise law."""
-    raw = EmpiricalDistribution.from_samples(sampler(rng, n))
-    gap = d2_to_reference(raw, sampler, m_ref, rng)
+    gap = d2_to_reference(np.sort(sampler(rng, n)), sampler, m_ref, rng)
     return gap * gap
 
 
@@ -264,7 +263,7 @@ def check_theorem1(
     lhs, v, bias_sq = _law_gap_sq(data, data.beta_true, sampler, sigma_sq,
                                   np.asarray(c, dtype=np.float64), rho, pilot_rho, m_boot, rng)
 
-    fhat = center_residuals(ridge_fit(data, pilot_rho).residuals)
+    fhat = center_residuals(data.fact.residuals(data.Y, float(pilot_rho)))
     resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
     rhs = float((resid_gap * resid_gap) / sigma_sq + bias_sq / v)
     return CheckReport.bound(
@@ -308,7 +307,6 @@ def check_mspe_link(
         raise InputError("estimator must be one of ridge, ols, perfect")
     if reps < 1:
         raise InputError("need at least one repetition")
-    X = data.X
     beta = data.beta_true
     sigma_sq = float(data.sigma_true) ** 2
     n = data.n
@@ -326,7 +324,7 @@ def check_mspe_link(
             rho_used = float(varrho)
         mspe = mspe_exact(data.fact, beta, rho_used, sigma_sq)
 
-    signal = X @ beta
+    signal = data.X @ beta
     sampler = noise.sampler()
     lhs_acc = 0.0
     raw_acc = 0.0
@@ -336,7 +334,7 @@ def check_mspe_link(
             resid = eps
         else:
             y = signal + eps
-            resid = y - X @ data.fact.coefficients(y, rho_used)
+            resid = data.fact.residuals(y, rho_used)
         gap = d2_to_reference(center_residuals(resid), sampler, m_ref, rng)
         lhs_acc += gap * gap
         raw_acc += _raw_gap_sq(sampler, n, m_ref, rng)

@@ -9,8 +9,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from ridgeboot.linmodel import DesignFactorization, ridge_fit
-from ridgeboot.mallows import EmpiricalDistribution, center_residuals, d2_empirical, d2_to_reference
+from ridgeboot.linmodel import DesignFactorization
+from ridgeboot.mallows import center_residuals, d2_empirical, d2_to_reference
 from ridgeboot.resampling import rb_contrast_draws
 from ridgeboot.theory import _PSI_CHUNK_CELLS, _THEOREM4_NOISE, _draw_design
 from ridgeboot.tuning import exponent_to_penalty
@@ -133,7 +133,7 @@ def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, 
             fresh = sampler(gen_noise, noise_reps * size).reshape(noise_reps, size)
             psi = np.sort((fresh @ A.T - shifts) / sd, axis=0)
             idx = gen_noise.integers(0, fhat.size, size=(noise_reps, size))
-            phi = np.sort((fhat.atoms[idx] @ A.T) / sd, axis=0)
+            phi = np.sort((fhat[idx] @ A.T) / sd, axis=0)
             row_d2sq = np.empty(size)
             for i in range(size):
                 diff = psi[:, i] - phi[:, i]
@@ -167,8 +167,8 @@ def theorem1_sides(data, noise, c, rho, pilot_rho, rng, m_boot, m_ref):
         done += take
     psi = np.sort((psi - shift) / sd)
     phi = np.sort(rb_contrast_draws(data, c, rho, pilot_rho, m_boot, rng) / sd)
-    lhs = d2_empirical(EmpiricalDistribution(atoms=psi), EmpiricalDistribution(atoms=phi))
-    fhat = center_residuals(ridge_fit(data, pilot_rho).residuals)
+    lhs = d2_empirical(psi, phi)
+    fhat = center_residuals(data.fact.residuals(data.Y, float(pilot_rho)))
     resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
     return lhs * lhs, resid_gap * resid_gap / sigma_sq + shift * shift / v
 

@@ -1,4 +1,4 @@
-"""Ridge/OLS fits, leverage, and the bias/variance/MSPE functionals."""
+"""Ridge/OLS coefficients and residuals, leverage, and the bias/variance/MSPE functionals."""
 
 import importlib
 import inspect
@@ -16,7 +16,6 @@ from ridgeboot.linmodel import (
     mspe_exact,
     read_matrix_csv,
     read_vector_csv,
-    ridge_fit,
     theta_rule,
 )
 
@@ -35,64 +34,65 @@ def make_data(n, p, seed, rho_for_beta=None):
 def test_ridge_two_by_two_oracle():
     X = np.array([[1.0, 0.0], [1.0, 1.0]])
     Y = np.array([1.0, 2.0])
-    fit = ridge_fit(Dataset(X, Y), 0.5)
-    np.testing.assert_allclose(fit.coefficients, ridge_dense(X, Y, 0.5), rtol=1e-12)
+    coef = DesignFactorization(X).coefficients(Y, 0.5)
+    np.testing.assert_allclose(coef, ridge_dense(X, Y, 0.5), rtol=1e-12)
 
 
 def test_ols_identity_design():
-    fit = ridge_fit(Dataset(np.eye(2), np.array([3.0, -1.0])), 0.0)
-    np.testing.assert_allclose(fit.coefficients, [3.0, -1.0], atol=1e-12)
+    coef = DesignFactorization(np.eye(2)).coefficients(np.array([3.0, -1.0]), 0.0)
+    np.testing.assert_allclose(coef, [3.0, -1.0], atol=1e-12)
 
 
 def test_ols_matches_normal_equations():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((6, 3))
     Y = rng.standard_normal(6)
-    fit = ridge_fit(Dataset(X, Y), 0.0)
+    coef = DesignFactorization(X).coefficients(Y, 0.0)
     want = np.linalg.solve(X.T @ X, X.T @ Y)
-    np.testing.assert_allclose(fit.coefficients, want, rtol=1e-9)
+    np.testing.assert_allclose(coef, want, rtol=1e-9)
 
 
 def test_fit_identities():
     data, eps = make_data(12, 5, seed=3)
     for rho in (0.01, 1.0, 50.0):
-        fit = ridge_fit(data, rho)
-        np.testing.assert_allclose(fit.fitted + fit.residuals, data.Y, rtol=1e-10)
-        np.testing.assert_allclose(fit.residuals, data.Y - data.X @ fit.coefficients, atol=1e-10)
+        coef = data.fact.coefficients(data.Y, rho)
+        resid = data.fact.residuals(data.Y, rho)
+        np.testing.assert_allclose(data.X @ coef + resid, data.Y, rtol=1e-10)
+        np.testing.assert_allclose(resid, data.Y - data.X @ coef, atol=1e-10)
         # residual identity e_hat - eps = X(beta - beta_hat)
-        lhs = fit.residuals - eps
-        rhs = data.X @ (data.beta_true - fit.coefficients)
+        lhs = resid - eps
+        rhs = data.X @ (data.beta_true - coef)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
 
 def test_coefficient_norm_shrinks_with_penalty():
     data, _ = make_data(15, 6, seed=9)
-    norms = [np.linalg.norm(ridge_fit(data, rho).coefficients) for rho in (0.1, 1.0, 10.0, 100.0)]
+    rhos = (0.1, 1.0, 10.0, 100.0)
+    norms = [np.linalg.norm(data.fact.coefficients(data.Y, rho)) for rho in rhos]
     assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(len(norms) - 1))
 
 
 def test_ridge_small_penalty_approaches_ols():
     data, _ = make_data(20, 4, seed=21)
-    ridge = ridge_fit(data, 1e-10)
-    ols = ridge_fit(data, 0.0)
-    assert np.max(np.abs(ridge.coefficients - ols.coefficients)) <= 1e-6
+    ridge = data.fact.coefficients(data.Y, 1e-10)
+    ols = data.fact.coefficients(data.Y, 0.0)
+    assert np.max(np.abs(ridge - ols)) <= 1e-6
 
 
 def test_ridge_penalty_validation():
     data, _ = make_data(6, 2, seed=1)
     fact = DesignFactorization(data.X)
     for rho in (-1.0, np.inf, np.nan):
-        for call in (lambda r: ridge_fit(data, r), fact.gain, fact.shrinkage_diag):
+        for call in (lambda r: fact.residuals(data.Y, r), fact.gain, fact.shrinkage_diag):
             with pytest.raises(InputError):
                 call(rho)
     # rho = 0 is OLS and demands full column rank, so p <= n
-    rank_deficient = Dataset(np.ones((4, 2)), np.ones(4))
     with pytest.raises(SingularSystemError):
-        ridge_fit(rank_deficient, 0.0)
+        DesignFactorization(np.ones((4, 2))).residuals(np.ones(4), 0.0)
     with pytest.raises(SingularSystemError):
-        ridge_fit(Dataset(np.eye(2, 3), np.ones(2)), 0.0)
+        DesignFactorization(np.eye(2, 3)).residuals(np.ones(2), 0.0)
     np.testing.assert_allclose(
-        ridge_fit(Dataset(np.eye(2), np.array([2.0, 4.0])), 1.0).coefficients, [1.0, 2.0]
+        DesignFactorization(np.eye(2)).coefficients(np.array([2.0, 4.0]), 1.0), [1.0, 2.0]
     )
 
 

@@ -7,33 +7,23 @@ from helpers import w2sq_lp
 from ridgeboot import _kernels
 from ridgeboot.designs import NoiseSpec
 from ridgeboot.errors import InputError
-from ridgeboot.mallows import (
-    EmpiricalDistribution,
-    center_residuals,
-    d2_empirical,
-    d2_to_reference,
-)
-
-
-def dist(atoms):
-    return EmpiricalDistribution.from_samples(np.asarray(atoms, dtype=float))
+from ridgeboot.mallows import center_residuals, d2_empirical, d2_to_reference
 
 
 # ---------------------------------------------------------------------------
 # centering
 
 def test_center_simple():
-    assert np.array_equal(center_residuals(np.array([1.0, 2.0, 3.0])).atoms, [-1.0, 0.0, 1.0])
+    assert np.array_equal(center_residuals(np.array([1.0, 2.0, 3.0])), [-1.0, 0.0, 1.0])
 
 
 def test_center_ties():
-    assert np.array_equal(center_residuals(np.array([5.0, 5.0])).atoms, [0.0, 0.0])
+    assert np.array_equal(center_residuals(np.array([5.0, 5.0])), [0.0, 0.0])
 
 
 def test_center_hand_case():
     got = center_residuals(np.array([0.3, -1.1, 2.0, 0.8]))
-    np.testing.assert_allclose(got.atoms, [-1.6, -0.2, 0.3, 1.5], atol=1e-12)
-    assert got.centered
+    np.testing.assert_allclose(got, [-1.6, -0.2, 0.3, 1.5], atol=1e-12)
 
 
 def test_center_rejects_nonfinite():
@@ -41,14 +31,26 @@ def test_center_rejects_nonfinite():
         center_residuals(np.array([1.0, np.nan]))
 
 
+def test_center_residuals_sorted_and_centered():
+    # The output is sorted and its mean is zero to 1e-10 of the atom scale,
+    # also when the residuals sit far from zero.
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 100, 1000):
+        for offset in (0.0, -3.5, 1e6):
+            atoms = center_residuals(offset + rng.standard_normal(n) * rng.uniform(0.01, 10.0))
+            assert atoms.shape == (n,)
+            assert np.all(np.diff(atoms) >= 0.0)
+            assert abs(float(atoms.mean())) <= 1e-10 * (float(np.max(np.abs(atoms))) + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # distance vs the transport LP
 
 def test_d2_matches_lp_on_spec_pair():
     # W2^2 between {0,1} and {0,0,3}: merged-grid arithmetic gives 3/2.
-    f = dist([0.0, 1.0])
-    g = dist([0.0, 0.0, 3.0])
-    lp = w2sq_lp(f.atoms, g.atoms)
+    f = np.array([0.0, 1.0])
+    g = np.array([0.0, 0.0, 3.0])
+    lp = w2sq_lp(f, g)
     assert lp == pytest.approx(1.5, abs=1e-9)
     assert d2_empirical(f, g) ** 2 == pytest.approx(lp, abs=1e-9)
 
@@ -65,7 +67,7 @@ def test_d2_matches_lp_exhaustive_small():
                     # tie-heavy integer atoms exercise the flat segments
                     x = rng.integers(-1, 2, size=m).astype(float)
                     y = rng.integers(-1, 2, size=k).astype(float)
-                got = d2_empirical(dist(x), dist(y)) ** 2
+                got = d2_empirical(x, y) ** 2
                 want = w2sq_lp(x, y)
                 assert got == pytest.approx(want, abs=1e-9), (m, k, rep)
 
@@ -80,8 +82,8 @@ def test_equal_count_matches_order_statistic_pairing():
         x = np.sort(rng.standard_normal(m))
         y = np.sort(rng.standard_normal(m))
         direct = float(np.sqrt(np.mean((x - y) ** 2)))
-        assert d2_empirical(dist(x), dist(y)) == pytest.approx(direct, abs=1e-12)
-        general = d2_empirical(dist(np.repeat(x, 2)), dist(np.repeat(y, 3)))
+        assert d2_empirical(x, y) == pytest.approx(direct, abs=1e-12)
+        general = d2_empirical(np.repeat(x, 2), np.repeat(y, 3))
         assert general == pytest.approx(direct, abs=1e-12)
 
 
@@ -94,9 +96,9 @@ def test_equal_sizes_take_the_kernel(monkeypatch):
         return kernel(x, y)
 
     monkeypatch.setattr(_kernels, "w2sq_sorted", spy)
-    f = dist(np.random.default_rng(8).standard_normal(25))
+    f = np.random.default_rng(8).standard_normal(25)
     assert d2_empirical(f, f) == 0.0
-    assert d2_empirical(f, dist(f.atoms + 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert d2_empirical(f, f + 1.0) == pytest.approx(1.0, abs=1e-12)
     assert calls == [(25, 25), (25, 25)]
 
 
@@ -106,9 +108,9 @@ def test_equal_sizes_take_the_kernel(monkeypatch):
 def test_metric_axioms_random_triples():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        f = dist(rng.standard_normal(int(rng.integers(1, 51))))
-        g = dist(rng.standard_normal(int(rng.integers(1, 51))))
-        h = dist(rng.standard_normal(int(rng.integers(1, 51))))
+        f = rng.standard_normal(int(rng.integers(1, 51)))
+        g = rng.standard_normal(int(rng.integers(1, 51)))
+        h = rng.standard_normal(int(rng.integers(1, 51)))
         dfg = d2_empirical(f, g)
         dgf = d2_empirical(g, f)
         assert dfg == dgf
@@ -117,20 +119,20 @@ def test_metric_axioms_random_triples():
 
 
 def test_identity_of_indiscernibles():
-    f = dist([0.0, 1.0, 2.0])
-    g = dist([0.0, 1.0, 2.00001])
+    f = np.array([0.0, 1.0, 2.0])
+    g = np.array([0.0, 1.0, 2.00001])
     assert d2_empirical(f, g) > 0
     # same law through different sample sizes
-    h = dist([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+    h = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
     assert d2_empirical(f, h) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_second_moment_control():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        f = dist(rng.standard_normal(int(rng.integers(1, 40))) * 2)
-        g = dist(rng.standard_normal(int(rng.integers(1, 40))))
-        mf, mg = np.mean(f.atoms ** 2), np.mean(g.atoms ** 2)
+        f = rng.standard_normal(int(rng.integers(1, 40))) * 2
+        g = rng.standard_normal(int(rng.integers(1, 40)))
+        mf, mg = np.mean(f ** 2), np.mean(g ** 2)
         gap = abs(mf - mg)
         bound = d2_empirical(f, g) * (np.sqrt(mf) + np.sqrt(mg))
         assert gap <= bound + 1e-10
@@ -141,14 +143,14 @@ def test_second_moment_control():
 
 def test_reference_self_distance_small():
     rng = np.random.default_rng(1)
-    f = dist(rng.standard_normal(10 ** 5))
+    f = np.sort(rng.standard_normal(10 ** 5))
     value = d2_to_reference(f, lambda g, size: g.standard_normal(size), 10 ** 5, rng)
     assert value <= 0.02
 
 
 def test_reference_point_mass_against_normal():
     rng = np.random.default_rng(2)
-    f = dist([0.0])
+    f = np.array([0.0])
     value = d2_to_reference(f, lambda g, size: g.standard_normal(size), 10 ** 5, rng)
     # W2(delta_0, N(0,1))^2 = E[x^2] = 1
     assert value ** 2 == pytest.approx(1.0, rel=0.02)
@@ -163,15 +165,22 @@ def test_reference_sorted_in_place_matches_sorted_copy():
     for n, m_ref in ((20, 20_000), (37, 1000), (1000, 1000)):
         f = center_residuals(sampler(np.random.default_rng(n), n))
         value = d2_to_reference(f, sampler, m_ref, g)
-        frozen = d2_empirical(f, EmpiricalDistribution(atoms=np.sort(sampler(h, m_ref))))
+        frozen = d2_empirical(f, sampler(h, m_ref))
         assert value == frozen
     assert g.bit_generator.state == h.bit_generator.state
 
 
-def test_empirical_distribution_validation():
-    with pytest.raises(InputError):
-        EmpiricalDistribution(np.array([1.0, 0.0]))  # not sorted
-    with pytest.raises(InputError):
-        EmpiricalDistribution(np.array([0.0, np.inf]))
-    with pytest.raises(InputError):
-        EmpiricalDistribution(np.array([1.0, 2.0]), centered=True)  # mean != 0
+def test_public_boundary_validation():
+    good = np.array([0.0, 1.0])
+    bad = (np.ones((2, 2)), np.array([]), np.array([0.0, np.inf]), np.array([np.nan, 1.0]))
+    for sample in bad:
+        with pytest.raises(InputError):
+            center_residuals(sample)
+        with pytest.raises(InputError):
+            d2_empirical(sample, good)
+        with pytest.raises(InputError):
+            d2_empirical(good, sample)
+    for atoms in bad[:2]:
+        with pytest.raises(InputError):
+            d2_to_reference(atoms, lambda g, size: g.standard_normal(size), 10,
+                            np.random.default_rng(0))

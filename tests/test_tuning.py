@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ridgeboot import tuning
 from ridgeboot.designs import NoiseSpec, make_beta, make_covariance, sample_design, sample_noise
 from ridgeboot.errors import InputError
-from ridgeboot.linmodel import Dataset, DesignFactorization, ridge_fit
+from ridgeboot.linmodel import Dataset, DesignFactorization
 from ridgeboot.tuning import (
     INFERENCE_PREFACTOR,
     PILOT_PREFACTOR,
@@ -240,6 +240,6 @@ def test_pilot_residual_sd_guard():
                 X, X @ beta + sample_noise(spec, 100, rng), beta_true=beta, sigma_true=sigma
             )
             plan = cv_select(data, rng=rng)
-            sd = ridge_fit(data, plan.pilot_rho).residuals.std()
+            sd = data.fact.residuals(data.Y, plan.pilot_rho).std()
             hits += 0.8 * sigma <= sd <= 1.3 * sigma
         assert hits >= 90, (p, eta, hits)
