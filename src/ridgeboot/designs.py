@@ -73,10 +73,6 @@ class NoiseSpec:
         if self.family == "scaled_t" and not np.isfinite(self.dof):
             raise InputError("t noise requires a finite dof")
 
-    def sampler(self):
-        """Adapter for the reference-sampler protocol: sampler(rng, size)."""
-        return lambda rng, size: sample_noise(self, size, rng)
-
 
 def make_covariance(p: int, eta: float, rng: np.random.Generator) -> CovarianceModel:
     """Power-law spectrum j^(-eta) with a seeded random orthogonal eigenbasis."""
@@ -139,7 +135,8 @@ def generate_dataset(
     spec: NoiseSpec,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Simulation-mode dataset Y = X beta + eps with X and eps independent.
+    """Dataset Y = X beta + eps with X and eps independent; sigma = 0 gives
+    the noiseless response.
 
     Stream order is fixed: the design is drawn first, then the noise.
     """
@@ -148,11 +145,4 @@ def generate_dataset(
         raise InputError("beta length must match the covariance dimension")
     X = sample_design(n, cov, rng)
     eps = sample_noise(spec, n, rng)
-    sigma = spec.sigma if spec.sigma > 0 else None
-    if sigma is None:
-        # sigma = 0 is allowed for exactness tests; Dataset demands a positive
-        # sigma in simulation mode, so return an observed-mode dataset, without
-        # beta_true and sigma_true.
-        return Dataset(X=X, Y=X @ beta + eps)
-    return Dataset(X=X, Y=X @ beta + eps, beta_true=beta, sigma_true=float(sigma))
-
+    return Dataset(X=X, Y=X @ beta + eps)

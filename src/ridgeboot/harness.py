@@ -218,7 +218,7 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
     X = sample_design(config.n, cov, gen)
     beta = make_beta(config.p)
     signal = X @ beta
-    design = Dataset(X, signal, beta_true=beta, sigma_true=config.sigma)
+    design = Dataset(X, signal)
     c = X[int(np.argmax(design.fact.leverage()))].copy()
     target = float(c @ beta)
 
@@ -481,14 +481,14 @@ def _sweep_cases(seed: int, count: int):
         X = sample_design(n, cov, gen)
         beta = make_beta(p) * float(gen.uniform(0.0, 2.0))
         eps = sample_noise(noise, n, gen)
-        data = Dataset(X, X @ beta + eps, beta_true=beta, sigma_true=sigma)
+        data = Dataset(X, X @ beta + eps)
         rho = float(n) * 10.0 ** float(gen.uniform(-3.0, 1.0))
         pilot = float(n) * 10.0 ** float(gen.uniform(-3.0, 1.0))
         if gen.random() < 0.5:
             c = X[int(gen.integers(0, n))].copy()
         else:
             c = gen.standard_normal(p)
-        yield child, data, noise, c, rho, pilot, gen
+        yield child, data, beta, noise, c, rho, pilot, gen
 
 
 def _setting_case(index: int, seed: int = 1):
@@ -497,10 +497,11 @@ def _setting_case(index: int, seed: int = 1):
     n, p, eta = _SETTINGS[name]
     gen = np.random.default_rng(seed_split(seed, (index,)))
     noise = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
-    data = generate_dataset(n, make_covariance(p, eta, gen), make_beta(p), noise, gen)
+    beta = make_beta(p)
+    data = generate_dataset(n, make_covariance(p, eta, gen), beta, noise, gen)
     c = data.X[int(np.argmax(data.fact.leverage()))].copy()
     plan = cv_select(data, rng=gen)
-    return name, data, noise, c, plan.inference_rho, plan.pilot_rho, gen
+    return name, data, beta, noise, c, plan.inference_rho, plan.pilot_rho, gen
 
 
 def _geometric(lo: int, hi: int, factor: int) -> list:
@@ -514,23 +515,23 @@ def _geometric(lo: int, hi: int, factor: int) -> list:
 
 
 def _suite_theorem1(seed: int, knobs: dict):
-    for child, data, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
-        yield check_theorem1(data, noise, c, rho, pilot, gen,
+    for child, data, beta, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
+        yield check_theorem1(data, beta, noise, c, rho, pilot, gen,
                              m_boot=knobs["m_boot"], m_ref=knobs["m_ref"]), child
     if knobs["include_settings"]:
         for index in (1, 2, 3, 4):
-            name, data, noise, c, rho, pilot, gen = _setting_case(index, seed=1)
-            rep = check_theorem1(data, noise, c, rho, pilot, gen, m_boot=knobs["settings_m"],
-                                 m_ref=knobs["settings_m"])
+            name, data, beta, noise, c, rho, pilot, gen = _setting_case(index, seed=1)
+            rep = check_theorem1(data, beta, noise, c, rho, pilot, gen,
+                                 m_boot=knobs["settings_m"], m_ref=knobs["settings_m"])
             yield replace(rep, name=f"theorem1[{name}]"), 1
 
 
 def _suite_mspe_link(seed: int, knobs: dict):
-    for child, data, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
+    for child, data, beta, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
         estimators = ("ridge", "ols", "perfect") if data.p < data.n else ("ridge", "perfect")
         for estimator in estimators:
-            yield check_mspe_link(data, noise, estimator, knobs["reps"], gen, varrho=pilot,
-                                  m_ref=knobs["m_ref"]), child
+            yield check_mspe_link(data, beta, noise, estimator, knobs["reps"], gen,
+                                  varrho=pilot, m_ref=knobs["m_ref"]), child
 
 
 def _suite_rates(seed: int, knobs: dict):

@@ -42,15 +42,13 @@ def _as_vector(v: np.ndarray, length: int | None, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design/response pair; carries (beta_true, sigma_true) in simulation mode.
+    """Design/response pair.
 
     ``fact``, the SVD of X, is built on first use without a lock: threads that
     share one dataset may each build it, so build it before they start."""
 
     X: np.ndarray
     Y: np.ndarray
-    beta_true: np.ndarray | None = None
-    sigma_true: float | None = None
     _svd: DesignFactorization | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -58,14 +56,6 @@ class Dataset:
         Y = _as_vector(self.Y, X.shape[0], "Y")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        if (self.beta_true is None) != (self.sigma_true is None):
-            raise InputError("beta_true and sigma_true must be supplied together")
-        if self.beta_true is not None:
-            beta = _as_vector(self.beta_true, X.shape[1], "beta_true")
-            object.__setattr__(self, "beta_true", beta)
-            if not (float(self.sigma_true) > 0):
-                raise InputError("sigma_true must be positive")
-            object.__setattr__(self, "sigma_true", float(self.sigma_true))
 
     @property
     def n(self) -> int:
@@ -83,9 +73,9 @@ class Dataset:
         return self._svd
 
     def with_response(self, Y: np.ndarray) -> Dataset:
-        """The same design, beta_true and sigma_true with response Y, sharing
-        this dataset's factorization (built here if it is not yet)."""
-        other = Dataset(self.X, Y, self.beta_true, self.sigma_true)
+        """The same design with response Y, sharing this dataset's
+        factorization (built here if it is not yet)."""
+        other = Dataset(self.X, Y)
         object.__setattr__(other, "_svd", self.fact)
         return other
 

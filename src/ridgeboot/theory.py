@@ -17,10 +17,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .designs import NoiseSpec, make_beta, make_covariance, sample_design
+from . import _kernels
+from .designs import NoiseSpec, make_beta, make_covariance, sample_design, sample_noise
 from .errors import DegenerateContrastError, InputError
-from .linmodel import Dataset, DesignFactorization, mspe_exact, theta_rule
-from .mallows import center_residuals, d2_to_reference
+from .linmodel import Dataset, DesignFactorization, _as_vector, mspe_exact, theta_rule
+from .mallows import center_residuals
 from .resampling import rb_contrast_draws
 from .tuning import cv_select, exponent_to_penalty
 
@@ -175,6 +176,21 @@ def _as_grid(n: Union[int, Sequence[int]], trials: int, min_points: int = 2) -> 
     return grid
 
 
+def _check_sizes(**sizes: int) -> None:
+    """Refuse a Monte Carlo sample size below one, before anything is drawn."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise InputError(f"{name} must be at least 1, got {size}")
+
+
+def _ground_truth(data: Dataset, beta: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """The true coefficients as a finite length-p vector, once the noise
+    scale is positive."""
+    if not noise.sigma > 0:
+        raise InputError("noise scale must be positive for this check")
+    return _as_vector(beta, data.p, "beta")
+
+
 def _draw_design(size: int, eta: float, gen: np.random.Generator) -> tuple:
     """Design with p = max(2, floor(size / 2)) columns drawn from the
     power-law covariance j^(-eta), and the unit-norm coefficient vector."""
@@ -183,7 +199,7 @@ def _draw_design(size: int, eta: float, gen: np.random.Generator) -> tuple:
     return X, make_beta(p)
 
 
-def _fresh_contrast_errors(sampler, weights: np.ndarray, reps: int,
+def _fresh_contrast_errors(noise: NoiseSpec, weights: np.ndarray, reps: int,
                            rng: np.random.Generator) -> np.ndarray:
     """eps @ weights for ``reps`` fresh noise vectors eps, drawn in chunks of
     about _PSI_CHUNK_CELLS cells: shape (reps,) for weights of shape (n,), or
@@ -194,12 +210,12 @@ def _fresh_contrast_errors(sampler, weights: np.ndarray, reps: int,
     done = 0
     while done < reps:
         take = min(chunk, reps - done)
-        out[done : done + take] = sampler(rng, take * n).reshape(take, n) @ weights
+        out[done : done + take] = sample_noise(noise, take * n, rng).reshape(take, n) @ weights
         done += take
     return out
 
 
-def _law_gap_sq(data: Dataset, beta: np.ndarray, sampler, sigma_sq: float, c: np.ndarray,
+def _law_gap_sq(data: Dataset, beta: np.ndarray, noise: NoiseSpec, c: np.ndarray,
                 rho: float, pilot_rho: float, reps: int, rng: np.random.Generator) -> tuple:
     """Squared W2 gap between the normalized fresh-noise law of a contrast error
     and its residual-bootstrap law, with the variance and squared bias that
@@ -215,25 +231,35 @@ def _law_gap_sq(data: Dataset, beta: np.ndarray, sampler, sigma_sq: float, c: np
     squared distance is the mean squared gap of their order statistics.
     """
     weights = data.fact.contrast_weights(c, rho)
-    var = sigma_sq * np.sum(weights * weights, axis=0)
+    var = float(noise.sigma) ** 2 * np.sum(weights * weights, axis=0)
     if np.any(var <= 0.0):
         raise DegenerateContrastError("contrast has zero variance at this penalty")
     shift = c.T @ data.fact.bias_vector(beta, rho)
     sd = np.sqrt(var)
-    psi = np.sort((_fresh_contrast_errors(sampler, weights, reps, rng) - shift) / sd, axis=0)
+    psi = np.sort((_fresh_contrast_errors(noise, weights, reps, rng) - shift) / sd, axis=0)
     phi = np.sort(rb_contrast_draws(data, c.T, rho, pilot_rho, reps, rng) / sd, axis=0)
     diff = psi - phi
     return np.sum(diff * diff, axis=0) / reps, var, shift * shift
 
 
-def _raw_gap_sq(sampler, n: int, m_ref: int, rng: np.random.Generator) -> float:
+def _noise_gap(atoms: np.ndarray, noise: NoiseSpec, m_ref: int,
+               rng: np.random.Generator) -> float:
+    """W2 distance from the uniform law on sorted ``atoms`` to the noise law,
+    by its seeded proxy: the distance to a sorted m_ref-sample of the noise."""
+    reference = sample_noise(noise, m_ref, rng)
+    reference.sort()
+    return math.sqrt(max(_kernels.w2sq_sorted(atoms, reference), 0.0))
+
+
+def _raw_gap_sq(noise: NoiseSpec, n: int, m_ref: int, rng: np.random.Generator) -> float:
     """Squared W2 distance between a raw n-sample of the noise and the noise law."""
-    gap = d2_to_reference(np.sort(sampler(rng, n)), sampler, m_ref, rng)
+    gap = _noise_gap(np.sort(sample_noise(noise, n, rng)), noise, m_ref, rng)
     return gap * gap
 
 
 def check_theorem1(
     data: Dataset,
+    beta: np.ndarray,
     noise: NoiseSpec,
     c: np.ndarray,
     rho: float,
@@ -248,23 +274,18 @@ def check_theorem1(
     law of the contrast error and the normalized bootstrap law built
     from centered pilot residuals.  Right side: squared residual-law
     distance to the true noise law scaled by 1/sigma^2, plus the squared
-    normalized ridge bias.  The inequality holds for every design, so a
-    single seeded run is a meaningful check.
+    normalized ridge bias.  ``beta`` and ``noise`` are the true coefficients
+    and noise law behind ``data``.  The inequality holds for every design, so
+    a single seeded run is a meaningful check.
     """
-    if data.beta_true is None or data.sigma_true is None:
-        raise InputError("theorem check needs a simulation-mode dataset")
-    if noise.sigma <= 0:
-        raise InputError("noise scale must be positive for this check")
-    for name, size in (("m_boot", m_boot), ("m_ref", m_ref)):
-        if size < 1:
-            raise InputError(f"{name} must be at least 1, got {size}")
-    sigma_sq = float(data.sigma_true) ** 2
-    sampler = noise.sampler()
-    lhs, v, bias_sq = _law_gap_sq(data, data.beta_true, sampler, sigma_sq,
-                                  np.asarray(c, dtype=np.float64), rho, pilot_rho, m_boot, rng)
+    beta = _ground_truth(data, beta, noise)
+    _check_sizes(m_boot=m_boot, m_ref=m_ref)
+    sigma_sq = float(noise.sigma) ** 2
+    lhs, v, bias_sq = _law_gap_sq(data, beta, noise, np.asarray(c, dtype=np.float64),
+                                  rho, pilot_rho, m_boot, rng)
 
     fhat = center_residuals(data.fact.residuals(data.Y, float(pilot_rho)))
-    resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
+    resid_gap = _noise_gap(fhat, noise, m_ref, rng)
     rhs = float((resid_gap * resid_gap) / sigma_sq + bias_sq / v)
     return CheckReport.bound(
         "theorem1",
@@ -284,6 +305,7 @@ def check_theorem1(
 
 def check_mspe_link(
     data: Dataset,
+    beta: np.ndarray,
     noise: NoiseSpec,
     estimator: str,
     reps: int,
@@ -299,16 +321,16 @@ def check_mspe_link(
     squared distance of a raw n-sample of the noise plus ``2 sigma^2/n``.
     ``estimator`` selects how residuals are produced: ``"ridge"`` (pilot
     fit at ``varrho``), ``"ols"`` (unpenalized fit), or ``"perfect"``
-    (true coefficients, so residuals equal the noise exactly).
+    (true coefficients, so residuals equal the noise exactly).  ``beta`` and
+    ``noise`` are the true coefficients and noise law behind ``data``.
     """
-    if data.beta_true is None or data.sigma_true is None:
-        raise InputError("mspe link check needs a simulation-mode dataset")
+    beta = _ground_truth(data, beta, noise)
     if estimator not in ("ridge", "ols", "perfect"):
         raise InputError("estimator must be one of ridge, ols, perfect")
     if reps < 1:
         raise InputError("need at least one repetition")
-    beta = data.beta_true
-    sigma_sq = float(data.sigma_true) ** 2
+    _check_sizes(m_ref=m_ref)
+    sigma_sq = float(noise.sigma) ** 2
     n = data.n
 
     if estimator == "perfect":
@@ -325,19 +347,18 @@ def check_mspe_link(
         mspe = mspe_exact(data.fact, beta, rho_used, sigma_sq)
 
     signal = data.X @ beta
-    sampler = noise.sampler()
     lhs_acc = 0.0
     raw_acc = 0.0
     for _ in range(reps):
-        eps = sampler(rng, n)
+        eps = sample_noise(noise, n, rng)
         if estimator == "perfect":
             resid = eps
         else:
             y = signal + eps
             resid = data.fact.residuals(y, rho_used)
-        gap = d2_to_reference(center_residuals(resid), sampler, m_ref, rng)
+        gap = _noise_gap(center_residuals(resid), noise, m_ref, rng)
         lhs_acc += gap * gap
-        raw_acc += _raw_gap_sq(sampler, n, m_ref, rng)
+        raw_acc += _raw_gap_sq(noise, n, m_ref, rng)
 
     rhs = 2.0 * mspe + 2.0 * (raw_acc / reps) + 2.0 * sigma_sq / n
     return CheckReport.bound(
@@ -422,12 +443,12 @@ def rate_d2_empirical(
     n <= m_ref / 10 so that this bias stays small.
     """
     grid = _as_grid(n_grid, trials)
-    sampler = noise.sampler()
+    _check_sizes(m_ref=m_ref)
     values = []
     for n in grid:
         acc = 0.0
         for _ in range(trials):
-            acc += _raw_gap_sq(sampler, n, m_ref, rng)
+            acc += _raw_gap_sq(noise, n, m_ref, rng)
         mean_sq = acc / trials
         values.append(mean_sq / math.log(max(n, 2)))
     return _fit_rate(grid, values, -0.5, (float("-inf"), -0.5 + _BAND_HALFWIDTH))
@@ -564,8 +585,6 @@ def check_theorem4(
     grid = _as_grid(n_grid, design_trials)
     if noise_reps < 2:
         raise InputError("need at least two noise draws")
-    sampler = _THEOREM4_NOISE.sampler()
-    sigma_sq = _THEOREM4_NOISE.sigma ** 2
 
     child_seeds = rng.integers(0, 2**63, size=(len(grid), design_trials, 2))
 
@@ -578,9 +597,9 @@ def check_theorem4(
             gen_design = np.random.default_rng(child_seeds[gi, d, 0])
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
             X, beta = _draw_design(size, eta, gen_design)
-            data = Dataset(X, X @ beta + sampler(gen_design, size))
+            data = Dataset(X, X @ beta + sample_noise(_THEOREM4_NOISE, size, gen_design))
             # Column i of X^T is the row contrast X_i.
-            gaps, _, _ = _law_gap_sq(data, beta, sampler, sigma_sq, X.T, rho, varrho,
+            gaps, _, _ = _law_gap_sq(data, beta, _THEOREM4_NOISE, X.T, rho, varrho,
                                      noise_reps, gen_noise)
             worst[d] = float(np.max(gaps))
         medians.append(float(np.median(worst)))

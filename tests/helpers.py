@@ -9,10 +9,11 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from ridgeboot.designs import sample_noise
 from ridgeboot.linmodel import DesignFactorization
-from ridgeboot.mallows import center_residuals, d2_empirical, d2_to_reference
+from ridgeboot.mallows import center_residuals, d2_empirical
 from ridgeboot.resampling import rb_contrast_draws
-from ridgeboot.theory import _PSI_CHUNK_CELLS, _THEOREM4_NOISE, _draw_design
+from ridgeboot.theory import _PSI_CHUNK_CELLS, _THEOREM4_NOISE, _draw_design, _noise_gap
 from ridgeboot.tuning import exponent_to_penalty
 
 # Knobs that run each check suite in about a second, for tests of the
@@ -111,7 +112,6 @@ def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, 
     fresh noise and the bootstrap indices each in one draw, and a loop over
     rows.  The library now draws both laws through the (k, p) contrast engine.
     """
-    sampler = _THEOREM4_NOISE.sampler()
     sigma_sq = _THEOREM4_NOISE.sigma ** 2
     child_seeds = rng.integers(0, 2**63, size=(len(n_grid), design_trials, 2))
     medians = []
@@ -123,14 +123,14 @@ def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, 
             gen_design = np.random.default_rng(child_seeds[gi, d, 0])
             gen_noise = np.random.default_rng(child_seeds[gi, d, 1])
             X, beta = _draw_design(size, eta, gen_design)
-            eps = sampler(gen_design, size)
+            eps = sample_noise(_THEOREM4_NOISE, size, gen_design)
             fact = DesignFactorization(X)
             A = fact.U * fact.shrinkage_diag(rho) @ fact.U.T
             sd = np.sqrt(sigma_sq * np.sum(A * A, axis=1))
             shifts = X @ fact.bias_vector(beta, rho)
             y = X @ beta + eps
             fhat = center_residuals(y - X @ fact.coefficients(y, varrho))
-            fresh = sampler(gen_noise, noise_reps * size).reshape(noise_reps, size)
+            fresh = sample_noise(_THEOREM4_NOISE, noise_reps * size, gen_noise).reshape(noise_reps, size)
             psi = np.sort((fresh @ A.T - shifts) / sd, axis=0)
             idx = gen_noise.integers(0, fhat.size, size=(noise_reps, size))
             phi = np.sort((fhat[idx] @ A.T) / sd, axis=0)
@@ -143,33 +143,32 @@ def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, 
     return medians
 
 
-def theorem1_sides(data, noise, c, rho, pilot_rho, rng, m_boot, m_ref):
+def theorem1_sides(data, beta, noise, c, rho, pilot_rho, rng, m_boot, m_ref):
     """(lhs, rhs) of ``check_theorem1`` by its earlier inline form, frozen: the
     variance a @ a, the shift c @ bias, the fresh noise in chunks of
     _PSI_CHUNK_CELLS cells, then the sorted bootstrap law, and the gap as a
     ``d2_empirical`` distance squared.  The library now takes the gap from the
     law-gap helper it shares with ``check_theorem4``.
     """
-    sigma_sq = float(data.sigma_true) ** 2
+    sigma_sq = float(noise.sigma) ** 2
     c = np.asarray(c, dtype=float)
     a = data.fact.contrast_weights(c, rho)
     v = sigma_sq * float(a @ a)
-    shift = float(c @ data.fact.bias_vector(data.beta_true, rho))
+    shift = float(c @ data.fact.bias_vector(beta, rho))
     sd = math.sqrt(v)
-    sampler = noise.sampler()
     n = data.n
     psi = np.empty(m_boot)
     chunk = max(1, _PSI_CHUNK_CELLS // n)
     done = 0
     while done < m_boot:
         take = min(chunk, m_boot - done)
-        psi[done:done + take] = sampler(rng, take * n).reshape(take, n) @ a
+        psi[done:done + take] = sample_noise(noise, take * n, rng).reshape(take, n) @ a
         done += take
     psi = np.sort((psi - shift) / sd)
     phi = np.sort(rb_contrast_draws(data, c, rho, pilot_rho, m_boot, rng) / sd)
     lhs = d2_empirical(psi, phi)
     fhat = center_residuals(data.fact.residuals(data.Y, float(pilot_rho)))
-    resid_gap = d2_to_reference(fhat, sampler, m_ref, rng)
+    resid_gap = _noise_gap(fhat, noise, m_ref, rng)
     return lhs * lhs, resid_gap * resid_gap / sigma_sq + shift * shift / v
 
 

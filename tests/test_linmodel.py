@@ -21,11 +21,12 @@ from ridgeboot.linmodel import (
 
 
 def make_data(n, p, seed, rho_for_beta=None):
+    """(dataset, beta, eps) with Y = X beta + eps."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     beta = rng.standard_normal(p)
     eps = rng.standard_normal(n) * 0.5
-    return Dataset(X, X @ beta + eps, beta_true=beta, sigma_true=0.5), eps
+    return Dataset(X, X @ beta + eps), beta, eps
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def test_ols_matches_normal_equations():
 
 
 def test_fit_identities():
-    data, eps = make_data(12, 5, seed=3)
+    data, beta, eps = make_data(12, 5, seed=3)
     for rho in (0.01, 1.0, 50.0):
         coef = data.fact.coefficients(data.Y, rho)
         resid = data.fact.residuals(data.Y, rho)
@@ -61,26 +62,26 @@ def test_fit_identities():
         np.testing.assert_allclose(resid, data.Y - data.X @ coef, atol=1e-10)
         # residual identity e_hat - eps = X(beta - beta_hat)
         lhs = resid - eps
-        rhs = data.X @ (data.beta_true - coef)
+        rhs = data.X @ (beta - coef)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
 
 def test_coefficient_norm_shrinks_with_penalty():
-    data, _ = make_data(15, 6, seed=9)
+    data, _, _ = make_data(15, 6, seed=9)
     rhos = (0.1, 1.0, 10.0, 100.0)
     norms = [np.linalg.norm(data.fact.coefficients(data.Y, rho)) for rho in rhos]
     assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(len(norms) - 1))
 
 
 def test_ridge_small_penalty_approaches_ols():
-    data, _ = make_data(20, 4, seed=21)
+    data, _, _ = make_data(20, 4, seed=21)
     ridge = data.fact.coefficients(data.Y, 1e-10)
     ols = data.fact.coefficients(data.Y, 0.0)
     assert np.max(np.abs(ridge - ols)) <= 1e-6
 
 
 def test_ridge_penalty_validation():
-    data, _ = make_data(6, 2, seed=1)
+    data, _, _ = make_data(6, 2, seed=1)
     fact = DesignFactorization(data.X)
     for rho in (-1.0, np.inf, np.nan):
         for call in (lambda r: fact.residuals(data.Y, r), fact.gain, fact.shrinkage_diag):
@@ -140,7 +141,7 @@ def contrast_bias_sq(fact, c, beta, rho):
 
 
 def test_contrast_variance_zero_contrast():
-    data, _ = make_data(5, 3, seed=2)
+    data, _, _ = make_data(5, 3, seed=2)
     assert contrast_variance(DesignFactorization(data.X), np.zeros(3), 1.0, 1.0) == 0.0
 
 
@@ -165,7 +166,7 @@ def test_contrast_variance_nonincreasing_in_rho():
 
 
 def test_contrast_bias_zero_beta():
-    data, _ = make_data(6, 4, seed=4)
+    data, _, _ = make_data(6, 4, seed=4)
     for c in (np.ones(4), np.arange(4.0)):
         assert contrast_bias_sq(DesignFactorization(data.X), c, np.zeros(4), 2.0) == 0.0
 
@@ -274,12 +275,6 @@ def test_dataset_validation():
     X = np.eye(3)
     with pytest.raises(InputError):
         Dataset(X, np.ones(2))  # length mismatch
-    with pytest.raises(InputError):
-        Dataset(X, np.ones(3), beta_true=np.ones(3))  # sigma missing
-    with pytest.raises(InputError):
-        Dataset(X, np.ones(3), beta_true=np.ones(3), sigma_true=0.0)
-    data = Dataset(X, np.ones(3), beta_true=np.ones(3), sigma_true=1.0)
-    assert data.sigma_true == 1.0
 
 
 def _count_factorizations(monkeypatch) -> list:
@@ -295,7 +290,7 @@ def _count_factorizations(monkeypatch) -> list:
 
 
 def test_dataset_builds_its_factorization_once(monkeypatch):
-    data, _ = make_data(12, 3, seed=4)
+    data, _, _ = make_data(12, 3, seed=4)
     built = _count_factorizations(monkeypatch)
     assert data.fact is data.fact
     assert built == [(12, 3)]
@@ -303,14 +298,13 @@ def test_dataset_builds_its_factorization_once(monkeypatch):
 
 
 def test_with_response_shares_the_factorization(monkeypatch):
-    data, eps = make_data(12, 3, seed=5)
+    data, _, eps = make_data(12, 3, seed=5)
     data.fact
     built = _count_factorizations(monkeypatch)
     other = data.with_response(data.Y - eps)
     assert other.fact is data.fact
     assert built == []
-    assert other.X is data.X and other.beta_true is data.beta_true
-    assert other.sigma_true == data.sigma_true
+    assert other.X is data.X
     np.testing.assert_array_equal(other.Y, data.Y - eps)
     with pytest.raises(InputError):
         data.with_response(np.ones(11))

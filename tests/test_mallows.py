@@ -5,9 +5,8 @@ import pytest
 
 from helpers import w2sq_lp
 from ridgeboot import _kernels
-from ridgeboot.designs import NoiseSpec
 from ridgeboot.errors import InputError
-from ridgeboot.mallows import center_residuals, d2_empirical, d2_to_reference
+from ridgeboot.mallows import center_residuals, d2_empirical
 
 
 # ---------------------------------------------------------------------------
@@ -138,38 +137,6 @@ def test_second_moment_control():
         assert gap <= bound + 1e-10
 
 
-# ---------------------------------------------------------------------------
-# reference-law proxy
-
-def test_reference_self_distance_small():
-    rng = np.random.default_rng(1)
-    f = np.sort(rng.standard_normal(10 ** 5))
-    value = d2_to_reference(f, lambda g, size: g.standard_normal(size), 10 ** 5, rng)
-    assert value <= 0.02
-
-
-def test_reference_point_mass_against_normal():
-    rng = np.random.default_rng(2)
-    f = np.array([0.0])
-    value = d2_to_reference(f, lambda g, size: g.standard_normal(size), 10 ** 5, rng)
-    # W2(delta_0, N(0,1))^2 = E[x^2] = 1
-    assert value ** 2 == pytest.approx(1.0, rel=0.02)
-
-
-def test_reference_sorted_in_place_matches_sorted_copy():
-    """Sorting the sampler's fresh draws in place gives the distance, and leaves
-    the generator in the state, of the earlier form that sorted a copy."""
-    spec = NoiseSpec(family="scaled_t", sigma=0.5, dof=5.0)
-    sampler = spec.sampler()
-    g, h = np.random.default_rng(31), np.random.default_rng(31)
-    for n, m_ref in ((20, 20_000), (37, 1000), (1000, 1000)):
-        f = center_residuals(sampler(np.random.default_rng(n), n))
-        value = d2_to_reference(f, sampler, m_ref, g)
-        frozen = d2_empirical(f, sampler(h, m_ref))
-        assert value == frozen
-    assert g.bit_generator.state == h.bit_generator.state
-
-
 def test_public_boundary_validation():
     good = np.array([0.0, 1.0])
     bad = (np.ones((2, 2)), np.array([]), np.array([0.0, np.inf]), np.array([np.nan, 1.0]))
@@ -180,7 +147,3 @@ def test_public_boundary_validation():
             d2_empirical(sample, good)
         with pytest.raises(InputError):
             d2_empirical(good, sample)
-    for atoms in bad[:2]:
-        with pytest.raises(InputError):
-            d2_to_reference(atoms, lambda g, size: g.standard_normal(size), 10,
-                            np.random.default_rng(0))

@@ -7,15 +7,24 @@ import pytest
 
 from helpers import REDUCED_KNOBS, theorem1_sides, theorem4_medians_loop
 from ridgeboot import theory
-from ridgeboot.designs import NoiseSpec, generate_dataset, make_beta, make_covariance, sample_design
+from ridgeboot.designs import (
+    NoiseSpec,
+    generate_dataset,
+    make_beta,
+    make_covariance,
+    sample_design,
+    sample_noise,
+)
 from ridgeboot.errors import InputError
 from ridgeboot.harness import _setting_case, run_check_suite
 from ridgeboot.linmodel import Dataset, DesignFactorization, theta_rule
+from ridgeboot.mallows import center_residuals, d2_empirical
 from ridgeboot.theory import (
     CheckReport,
     RateEstimate,
     _fresh_contrast_errors,
     _law_gap_sq,
+    _noise_gap,
     check_design_events,
     check_mspe_link,
     check_signed_svd,
@@ -84,9 +93,9 @@ def test_theorem1_holds_with_injected_noise():
     cov = make_covariance(10, 0.5, rng)
     X = sample_design(40, cov, rng)
     noise = NoiseSpec(family="two_point", sigma=0.5)
-    eps = noise.sampler()(rng, 40)
-    data = Dataset(X=X, Y=eps, beta_true=np.zeros(10), sigma_true=0.5)
-    rep = check_theorem1(data, noise, np.ones(10), rho=1.0, pilot_rho=1e12,
+    eps = sample_noise(noise, 40, rng)
+    data = Dataset(X=X, Y=eps)
+    rep = check_theorem1(data, np.zeros(10), noise, np.ones(10), rho=1.0, pilot_rho=1e12,
                          rng=rng, m_boot=4000, m_ref=20000)
     assert rep.name == "theorem1"
     assert rep.holds
@@ -102,7 +111,7 @@ def test_theorem1_holds_on_fitted_pilot():
     noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
     data = generate_dataset(50, cov, beta, noise, rng)
     c = data.X[3]
-    rep = check_theorem1(data, noise, c, rho=2.0, pilot_rho=10.0,
+    rep = check_theorem1(data, beta, noise, c, rho=2.0, pilot_rho=10.0,
                          rng=rng, m_boot=4000, m_ref=20000)
     assert rep.holds
 
@@ -111,8 +120,9 @@ def test_theorem1_holds_on_fitted_pilot():
 def test_theorem1_matches_frozen_inline_form(family):
     rng = np.random.default_rng(35)
     noise = NoiseSpec(family=family, sigma=0.3, dof=6.0)
-    data = generate_dataset(30, make_covariance(12, 0.8, rng), make_beta(12), noise, rng)
-    args = (data, noise, data.X[2], 3.0, 8.0)
+    beta = make_beta(12)
+    data = generate_dataset(30, make_covariance(12, 0.8, rng), beta, noise, rng)
+    args = (data, beta, noise, data.X[2], 3.0, 8.0)
     rep = check_theorem1(*args, np.random.default_rng(5), m_boot=3000, m_ref=6000)
     lhs, rhs = theorem1_sides(*args, np.random.default_rng(5), 3000, 6000)
     assert rep.lhs == pytest.approx(lhs, rel=1e-12)
@@ -122,9 +132,10 @@ def test_theorem1_matches_frozen_inline_form(family):
 def test_law_gap_of_contrast_matrix_matches_single_contrasts():
     rng = np.random.default_rng(36)
     noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
-    data = generate_dataset(40, make_covariance(15, 1.0, rng), make_beta(15), noise, rng)
+    beta = make_beta(15)
+    data = generate_dataset(40, make_covariance(15, 1.0, rng), beta, noise, rng)
     C = rng.standard_normal((15, 3))
-    args = (data, data.beta_true, noise.sampler(), data.sigma_true ** 2)
+    args = (data, beta, noise)
     g = np.random.default_rng(3)
     gaps, var, bias_sq = _law_gap_sq(*args, C, 2.0, 6.0, 500, g)
     assert gaps.shape == var.shape == bias_sq.shape == (3,)
@@ -135,25 +146,41 @@ def test_law_gap_of_contrast_matrix_matches_single_contrasts():
         assert h.bit_generator.state == g.bit_generator.state
 
 
-@pytest.mark.parametrize("knob, value", [("m_boot", -5), ("m_boot", 0), ("m_ref", 0)])
-def test_theorem1_rejects_empty_samples_before_any_draw(knob, value):
+@pytest.mark.parametrize("check, knob, value", [
+    pytest.param("theorem1", "m_boot", -5, id="m_boot--5"),
+    pytest.param("theorem1", "m_boot", 0, id="m_boot-0"),
+    pytest.param("theorem1", "m_ref", 0, id="m_ref-0"),
+    pytest.param("mspe_link", "m_ref", 0, id="mspe_link-m_ref-0"),
+    pytest.param("rate_d2", "m_ref", 0, id="rate_d2-m_ref-0"),
+])
+def test_theorem1_rejects_empty_samples_before_any_draw(check, knob, value):
+    """check_theorem1, check_mspe_link (whose ridge fit would first draw CV
+    folds) and rate_d2_empirical refuse an empty sample before any draw."""
     rng = np.random.default_rng(37)
     noise = NoiseSpec(family="normal", sigma=0.2)
-    data = generate_dataset(20, make_covariance(5, 1.0, rng), make_beta(5), noise, rng)
+    beta = make_beta(5)
+    data = generate_dataset(20, make_covariance(5, 1.0, rng), beta, noise, rng)
     state = rng.bit_generator.state
     sizes = {"m_boot": 2000, "m_ref": 4000, knob: value}
+    calls = {
+        "theorem1": lambda: check_theorem1(data, beta, noise, np.ones(5), 2.0, 10.0, rng,
+                                           **sizes),
+        "mspe_link": lambda: check_mspe_link(data, beta, noise, "ridge", 2, rng,
+                                             m_ref=sizes["m_ref"]),
+        "rate_d2": lambda: rate_d2_empirical(noise, (10, 20), 2, rng, m_ref=sizes["m_ref"]),
+    }
     with pytest.raises(InputError, match=f"{knob} must be at least 1"):
-        check_theorem1(data, noise, np.ones(5), 2.0, 10.0, rng, **sizes)
+        calls[check]()
     assert rng.bit_generator.state == state
 
 
 def test_theorem1_bootstrap_memory_is_chunked():
     # Setting 1 (n = 100) at 400,000 bootstrap draws: a single (m_boot, n)
     # index matrix and its gathered atoms would take 610 MiB.
-    _, data, noise, c, rho, pilot, gen = _setting_case(1, seed=1)
+    _, data, beta, noise, c, rho, pilot, gen = _setting_case(1, seed=1)
     tracemalloc.start()
     try:
-        check_theorem1(data, noise, c, rho, pilot, gen, m_boot=400_000, m_ref=1_000)
+        check_theorem1(data, beta, noise, c, rho, pilot, gen, m_boot=400_000, m_ref=1_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -179,11 +206,12 @@ def test_theorem1_settings_factorize_once(monkeypatch):
 def test_theorem1_bad_contrast_refused_before_any_draw():
     rng = np.random.default_rng(34)
     noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
-    data = generate_dataset(40, make_covariance(10, 1.0, rng), make_beta(10), noise, rng)
+    beta = make_beta(10)
+    data = generate_dataset(40, make_covariance(10, 1.0, rng), beta, noise, rng)
     state = rng.bit_generator.state
     for bad in (np.ones(11), np.r_[np.nan, np.ones(9)]):
         with pytest.raises(InputError, match="finite length-p vector"):
-            check_theorem1(data, noise, bad, 2.0, 10.0, rng, m_boot=2000, m_ref=4000)
+            check_theorem1(data, beta, noise, bad, 2.0, 10.0, rng, m_boot=2000, m_ref=4000)
     assert rng.bit_generator.state == state
 
 
@@ -191,27 +219,40 @@ def test_theorem1_bad_contrast_refused_before_any_draw():
 def test_fresh_contrast_errors_match_inline_loop(monkeypatch, cells):
     # The chunked loop check_theorem1 ran inline, replayed on an equal seed.
     monkeypatch.setattr(theory, "_PSI_CHUNK_CELLS", cells)
-    sampler = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0).sampler()
+    noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
     n, reps = 30, 1000
     a = np.random.default_rng(1).standard_normal(n)
     g, h = np.random.default_rng(2), np.random.default_rng(2)
-    got = _fresh_contrast_errors(sampler, a, reps, g)
+    got = _fresh_contrast_errors(noise, a, reps, g)
     want = np.empty(reps)
     chunk = max(1, cells // n)
     done = 0
     while done < reps:
         take = min(chunk, reps - done)
-        want[done:done + take] = sampler(h, take * n).reshape(take, n) @ a
+        want[done:done + take] = sample_noise(noise, take * n, h).reshape(take, n) @ a
         done += take
     assert np.array_equal(got, want)
     assert g.bit_generator.state == h.bit_generator.state
 
 
-def test_theorem1_needs_simulation_mode():
+def test_checks_refuse_bad_ground_truth_before_any_draw():
+    """check_theorem1 and check_mspe_link refuse a beta that is not a finite
+    length-p vector, and a noise law with sigma = 0, before any draw."""
     rng = np.random.default_rng(0)
     data = Dataset(X=np.eye(4), Y=np.arange(4.0))
-    with pytest.raises(InputError):
-        check_theorem1(data, NoiseSpec(), np.ones(4), rho=1.0, pilot_rho=1.0, rng=rng)
+    state = rng.bit_generator.state
+    calls = (
+        lambda beta, noise: check_theorem1(data, beta, noise, np.ones(4), rho=1.0,
+                                           pilot_rho=1.0, rng=rng),
+        lambda beta, noise: check_mspe_link(data, beta, noise, "ridge", reps=2, rng=rng),
+    )
+    for call in calls:
+        for bad in (np.ones(3), np.ones((4, 1)), np.r_[np.inf, np.ones(3)]):
+            with pytest.raises(InputError, match="beta must"):
+                call(bad, NoiseSpec())
+        with pytest.raises(InputError, match="noise scale must be positive"):
+            call(np.ones(4), NoiseSpec(family="normal", sigma=0.0))
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +263,20 @@ def _link_dataset(seed):
     cov = make_covariance(15, 1.0, rng)
     beta = make_beta(15)
     noise = NoiseSpec(family="scaled_t", sigma=0.3, dof=6.0)
-    return generate_dataset(60, cov, beta, noise, rng), noise, rng
+    return generate_dataset(60, cov, beta, noise, rng), beta, noise, rng
 
 
 def test_mspe_link_holds_for_each_estimator():
-    data, noise, rng = _link_dataset(22)
+    data, beta, noise, rng = _link_dataset(22)
     for estimator, varrho in (("perfect", None), ("ridge", 0.5), ("ols", None)):
-        rep = check_mspe_link(data, noise, estimator, reps=5, rng=rng,
+        rep = check_mspe_link(data, beta, noise, estimator, reps=5, rng=rng,
                               varrho=varrho, m_ref=20000)
         assert rep.name == f"mspe_link_{estimator}"
         assert rep.holds
 
 
 def test_mspe_link_factorizes_once(monkeypatch):
-    data, noise, rng = _link_dataset(26)
+    data, beta, noise, rng = _link_dataset(26)
     shapes = []
     init = DesignFactorization.__init__
 
@@ -245,14 +286,15 @@ def test_mspe_link_factorizes_once(monkeypatch):
 
     monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
     for estimator, varrho in (("ridge", 0.5), ("ols", None)):
-        check_mspe_link(data, noise, estimator, reps=2, rng=rng, varrho=varrho, m_ref=2000)
+        check_mspe_link(data, beta, noise, estimator, reps=2, rng=rng, varrho=varrho,
+                        m_ref=2000)
     # The ols check reuses the SVD the ridge check built on the same dataset.
     assert shapes == [data.X.shape]
 
 
 def test_mspe_link_perfect_estimator_has_zero_mspe():
-    data, noise, rng = _link_dataset(23)
-    rep = check_mspe_link(data, noise, "perfect", reps=3, rng=rng, m_ref=20000)
+    data, beta, noise, rng = _link_dataset(23)
+    rep = check_mspe_link(data, beta, noise, "perfect", reps=3, rng=rng, m_ref=20000)
     assert rep.config["mspe"] == 0.0
 
 
@@ -263,15 +305,46 @@ def test_mspe_link_ols_needs_tall_design():
     noise = NoiseSpec(sigma=0.3)
     data = generate_dataset(20, cov, beta, noise, rng)
     with pytest.raises(InputError):
-        check_mspe_link(data, noise, "ols", reps=2, rng=rng, m_ref=5000)
+        check_mspe_link(data, beta, noise, "ols", reps=2, rng=rng, m_ref=5000)
 
 
 def test_mspe_link_validation():
-    data, noise, rng = _link_dataset(25)
+    data, beta, noise, rng = _link_dataset(25)
     with pytest.raises(InputError):
-        check_mspe_link(data, noise, "bogus", reps=2, rng=rng)
+        check_mspe_link(data, beta, noise, "bogus", reps=2, rng=rng)
     with pytest.raises(InputError):
-        check_mspe_link(data, noise, "ridge", reps=0, rng=rng, varrho=1.0)
+        check_mspe_link(data, beta, noise, "ridge", reps=0, rng=rng, varrho=1.0)
+
+
+# ---------------------------------------------------------------------------
+# reference-law proxy
+
+def test_reference_self_distance_small():
+    rng = np.random.default_rng(1)
+    f = np.sort(rng.standard_normal(10 ** 5))
+    value = _noise_gap(f, NoiseSpec(family="normal", sigma=1.0), 10 ** 5, rng)
+    assert value <= 0.02
+
+
+def test_reference_point_mass_against_normal():
+    rng = np.random.default_rng(2)
+    f = np.array([0.0])
+    value = _noise_gap(f, NoiseSpec(family="normal", sigma=1.0), 10 ** 5, rng)
+    # W2(delta_0, N(0,1))^2 = E[x^2] = 1
+    assert value ** 2 == pytest.approx(1.0, rel=0.02)
+
+
+def test_reference_sorted_in_place_matches_sorted_copy():
+    """Sorting the fresh noise draws in place gives the distance, and leaves
+    the generator in the state, of the earlier form that sorted a copy."""
+    spec = NoiseSpec(family="scaled_t", sigma=0.5, dof=5.0)
+    g, h = np.random.default_rng(31), np.random.default_rng(31)
+    for n, m_ref in ((20, 20_000), (37, 1000), (1000, 1000)):
+        f = center_residuals(sample_noise(spec, n, np.random.default_rng(n)))
+        value = _noise_gap(f, spec, m_ref, g)
+        frozen = d2_empirical(f, sample_noise(spec, m_ref, h))
+        assert value == frozen
+    assert g.bit_generator.state == h.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

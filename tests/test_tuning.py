@@ -28,7 +28,7 @@ def noisy_data(seed, n=60, p=12, sigma=0.5):
     X = rng.standard_normal((n, p))
     beta = rng.standard_normal(p)
     Y = X @ beta + rng.standard_normal(n) * sigma
-    return Dataset(X, Y, beta_true=beta, sigma_true=sigma)
+    return Dataset(X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,7 @@ def test_pilot_residual_sd_guard():
             cov = make_covariance(p, eta, rng)
             X = sample_design(100, cov, rng)
             beta = make_beta(p)
-            data = Dataset(
-                X, X @ beta + sample_noise(spec, 100, rng), beta_true=beta, sigma_true=sigma
-            )
+            data = Dataset(X, X @ beta + sample_noise(spec, 100, rng))
             plan = cv_select(data, rng=rng)
             sd = data.fact.residuals(data.Y, plan.pilot_rho).std()
             hits += 0.8 * sigma <= sd <= 1.3 * sigma
