@@ -26,7 +26,9 @@ from .errors import ConfigError, InputError, RidgebootError  # noqa: E402
 from .harness import (  # noqa: E402
     CHECK_SUITES,
     FIELD_TYPES,
+    PRESETS,
     REQUIRED_FIELDS,
+    SCALES,
     ExperimentConfig,
     check_seed,
     preset_config,
@@ -64,9 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="coverage experiment over random designs")
     sim.add_argument("--config", default=None, help="flat key = value file")
-    sim.add_argument("--preset", default=None,
-                     choices=("setting1", "setting2", "setting3", "setting4"))
-    sim.add_argument("--scale", default="desk", choices=("desk", "full"))
+    sim.add_argument("--preset", default=None, choices=PRESETS)
+    sim.add_argument("--scale", default="desk", choices=SCALES)
     sim.add_argument("--out", required=True, help="results CSV path")
     for name, kind in FIELD_TYPES.items():
         if name != "cv_per_design":

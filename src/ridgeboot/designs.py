@@ -19,38 +19,6 @@ NOISE_FAMILIES = ("scaled_t", "normal", "two_point")
 
 
 @dataclass(frozen=True)
-class CovarianceModel:
-    """Population covariance with power-law spectrum and random eigenbasis."""
-
-    p: int
-    eta: float
-    eigenvalues: np.ndarray
-    eigenbasis: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        Q = np.asarray(self.eigenbasis, dtype=np.float64)
-        if lam.shape != (self.p,) or Q.shape != (self.p, self.p):
-            raise InputError("eigenvalues/eigenbasis shapes must match p")
-        if np.any(lam <= 0) or np.any(np.diff(lam) > 0):
-            raise InputError("eigenvalues must be positive and nonincreasing")
-        if abs(lam[0] - 1.0) > 1e-12:
-            raise InputError("leading eigenvalue must be 1")
-        if np.max(np.abs(Q.T @ Q - np.eye(self.p))) > 1e-10:
-            raise InputError("eigenbasis must be orthonormal")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenbasis", Q)
-
-    def covariance(self) -> np.ndarray:
-        Q = self.eigenbasis
-        return (Q * self.eigenvalues) @ Q.T
-
-    def sqrt(self) -> np.ndarray:
-        Q = self.eigenbasis
-        return (Q * np.sqrt(self.eigenvalues)) @ Q.T
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Centered noise law with target standard deviation sigma.
 
@@ -65,7 +33,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.family not in NOISE_FAMILIES:
-            raise InputError(f"unknown noise family {self.family!r}")
+            raise InputError(f"noise family {self.family!r} is not one of {', '.join(NOISE_FAMILIES)}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise InputError("sigma must be a finite nonnegative real")
         if self.family == "scaled_t" and not self.dof > 4:
@@ -74,8 +42,8 @@ class NoiseSpec:
             raise InputError("t noise requires a finite dof")
 
 
-def make_covariance(p: int, eta: float, rng: np.random.Generator) -> CovarianceModel:
-    """Power-law spectrum j^(-eta) with a seeded random orthogonal eigenbasis."""
+def covariance_root(p: int, eta: float, rng: np.random.Generator) -> np.ndarray:
+    """Sigma^(1/2) = Q diag(j^(-eta/2)) Q^T for a seeded random orthogonal Q."""
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise InputError("p must be a positive integer")
     if not (np.isfinite(eta) and eta >= 0):
@@ -85,15 +53,18 @@ def make_covariance(p: int, eta: float, rng: np.random.Generator) -> CovarianceM
     Q, R = np.linalg.qr(G)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
-    return CovarianceModel(p=int(p), eta=float(eta), eigenvalues=lam, eigenbasis=Q * signs)
+    Q = Q * signs
+    return (Q * np.sqrt(lam)) @ Q.T
 
 
-def sample_design(n: int, cov: CovarianceModel, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. rows from N(0, Sigma): X = Z Sigma^(1/2)."""
+def sample_design(n: int, p: int, eta: float, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. rows from N(0, Sigma): X = Z Sigma^(1/2).
+
+    Stream order is fixed: the eigenbasis is drawn first, then the rows."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InputError("n must be a positive integer")
-    Z = rng.standard_normal((int(n), cov.p))
-    return Z @ cov.sqrt()
+    root = covariance_root(p, eta, rng)
+    return rng.standard_normal((int(n), root.shape[0])) @ root
 
 
 def sample_noise(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,7 +101,7 @@ def make_beta(p: int) -> np.ndarray:
 
 def generate_dataset(
     n: int,
-    cov: CovarianceModel,
+    eta: float,
     beta: np.ndarray,
     spec: NoiseSpec,
     rng: np.random.Generator,
@@ -141,8 +112,6 @@ def generate_dataset(
     Stream order is fixed: the design is drawn first, then the noise.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (cov.p,):
-        raise InputError("beta length must match the covariance dimension")
-    X = sample_design(n, cov, rng)
+    X = sample_design(n, beta.size, eta, rng)
     eps = sample_noise(spec, n, rng)
     return Dataset(X=X, Y=X @ beta + eps)

@@ -20,11 +20,9 @@ import numpy as np
 
 from . import __version__
 from .designs import (
-    NOISE_FAMILIES,
     NoiseSpec,
     generate_dataset,
     make_beta,
-    make_covariance,
     sample_design,
     sample_noise,
 )
@@ -43,7 +41,8 @@ from .theory import (
     rate_d2_empirical,
     rate_mspe,
 )
-from .tuning import cv_select, default_grid
+from .tuning import (DEFAULT_FOLDS, DEFAULT_GRID_MAX_FACTOR, DEFAULT_GRID_MIN_FACTOR,
+                     DEFAULT_GRID_SIZE, cv_select, default_grid)
 
 __all__ = [
     "ExperimentConfig",
@@ -60,6 +59,8 @@ __all__ = [
     "write_config",
     "write_results",
     "preset_config",
+    "PRESETS",
+    "SCALES",
     "run_check_suite",
     "write_report",
     "REPORT_COLUMNS",
@@ -123,10 +124,10 @@ class ExperimentConfig:
     sigma: float = 0.1
     noise_family: str = "scaled_t"
     noise_dof: float = 5.0
-    grid_size: int = 30
-    grid_min_factor: float = 1e-4
-    grid_max_factor: float = 1e2
-    folds: int = 5
+    grid_size: int = DEFAULT_GRID_SIZE
+    grid_min_factor: float = DEFAULT_GRID_MIN_FACTOR
+    grid_max_factor: float = DEFAULT_GRID_MAX_FACTOR
+    folds: int = DEFAULT_FOLDS
     cv_per_design: int = 0
     seed: int = 0
     threads: int = 1
@@ -160,10 +161,10 @@ class ExperimentConfig:
                 "and the normal and ols_rb intervals need p < n"
             )
         check_seed(self.seed)
-        if self.noise_family not in NOISE_FAMILIES:
-            raise ConfigError(f"noise_family must be one of {', '.join(NOISE_FAMILIES)}")
-        # Validate the noise family/dof combination eagerly.
-        self.noise_spec()
+        try:
+            self.noise_spec()
+        except RidgebootError as exc:
+            raise ConfigError(f"bad noise law: {exc}") from exc
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(family=self.noise_family, sigma=self.sigma, dof=self.noise_dof)
@@ -214,8 +215,7 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
     noise = config.noise_spec()
     grid = default_grid(config.n, config.grid_size, config.grid_min_factor, config.grid_max_factor)
 
-    cov = make_covariance(config.p, config.eta, gen)
-    X = sample_design(config.n, cov, gen)
+    X = sample_design(config.n, config.p, config.eta, gen)
     beta = make_beta(config.p)
     signal = X @ beta
     design = Dataset(X, signal)
@@ -407,6 +407,8 @@ _SCALES = {
     "desk": (20, 500, 500),
     "full": (100, 1000, 1000),
 }
+PRESETS = tuple(_SETTINGS)
+SCALES = tuple(_SCALES)
 
 
 def preset_config(
@@ -477,8 +479,7 @@ def _sweep_cases(seed: int, count: int):
         family = ("scaled_t", "normal", "two_point")[int(gen.integers(0, 3))]
         dof = float(gen.uniform(4.5, 12.0)) if family == "scaled_t" else 5.0
         noise = NoiseSpec(family=family, sigma=sigma, dof=dof)
-        cov = make_covariance(p, eta, gen)
-        X = sample_design(n, cov, gen)
+        X = sample_design(n, p, eta, gen)
         beta = make_beta(p) * float(gen.uniform(0.0, 2.0))
         eps = sample_noise(noise, n, gen)
         data = Dataset(X, X @ beta + eps)
@@ -494,11 +495,11 @@ def _sweep_cases(seed: int, count: int):
 def _setting_case(index: int, seed: int = 1):
     """One seeded simulation-study design with CV-selected penalties."""
     name = f"setting{index}"
-    n, p, eta = _SETTINGS[name]
+    config = preset_config(name)
     gen = np.random.default_rng(seed_split(seed, (index,)))
-    noise = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
-    beta = make_beta(p)
-    data = generate_dataset(n, make_covariance(p, eta, gen), beta, noise, gen)
+    noise = config.noise_spec()
+    beta = make_beta(config.p)
+    data = generate_dataset(config.n, config.eta, beta, noise, gen)
     c = data.X[int(np.argmax(data.fact.leverage()))].copy()
     plan = cv_select(data, rng=gen)
     return name, data, beta, noise, c, plan.inference_rho, plan.pilot_rho, gen
@@ -515,6 +516,8 @@ def _geometric(lo: int, hi: int, factor: int) -> list:
 
 
 def _suite_theorem1(seed: int, knobs: dict):
+    if knobs["include_settings"] not in (0, 1):
+        raise ConfigError("include_settings must be 0 or 1")
     for child, data, beta, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
         yield check_theorem1(data, beta, noise, c, rho, pilot, gen,
                              m_boot=knobs["m_boot"], m_ref=knobs["m_ref"]), child

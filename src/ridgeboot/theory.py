@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .designs import NoiseSpec, make_beta, make_covariance, sample_design, sample_noise
+from .designs import NoiseSpec, make_beta, sample_design, sample_noise
 from .errors import DegenerateContrastError, InputError
 from .linmodel import Dataset, DesignFactorization, _as_vector, mspe_exact, theta_rule
 from .mallows import center_residuals
@@ -195,7 +195,7 @@ def _draw_design(size: int, eta: float, gen: np.random.Generator) -> tuple:
     """Design with p = max(2, floor(size / 2)) columns drawn from the
     power-law covariance j^(-eta), and the unit-norm coefficient vector."""
     p = max(2, int(math.floor(_DESIGN_RATIO * size)))
-    X = sample_design(size, make_covariance(p, eta, gen), gen)
+    X = sample_design(size, p, eta, gen)
     return X, make_beta(p)
 
 

@@ -106,6 +106,20 @@ def contrast_draws_loop(atoms, weights, idx):
     return out
 
 
+def design_two_step(n, p, eta, rng):
+    """The design draw as two steps, frozen: first the covariance model (the
+    spectrum j^(-eta) and the eigenbasis Q of a sign-fixed Gaussian QR), then
+    the rows Z @ Q diag(sqrt(lam)) Q^T."""
+    lam = np.arange(1, p + 1, dtype=np.float64) ** (-float(eta))
+    G = rng.standard_normal((p, p))
+    Q, R = np.linalg.qr(G)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    Q = Q * signs
+    Z = rng.standard_normal((int(n), p))
+    return Z @ ((Q * np.sqrt(lam)) @ Q.T)
+
+
 def theorem4_medians_loop(eta, gamma, theta, n_grid, design_trials, noise_reps, rng):
     """Per-size medians of the worst-row d2^2 of ``check_theorem4``, by its
     earlier form, frozen: the n x n smoother U diag(s^2/(s^2+rho)) U^T, the

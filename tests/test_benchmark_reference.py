@@ -1,7 +1,8 @@
 """The benchmark's pinned outputs: one cycle of every workload in
 ``perfbench/workloads.py`` at the reference seed, against
-``perfbench/reference.json``.  A change that moves them fails here, before
-the benchmark's own output check fails on it."""
+``perfbench/reference.json``, plain and under ``perfbench/tracing.py``'s
+tracer.  A change that moves them, or that renames what the tracer wraps or
+reads, fails here, before the benchmark's own output check fails on it."""
 
 import importlib.util
 import json
@@ -13,11 +14,19 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 
-# Only the workload module is loaded: importing perfbench/run.py would pin the
-# BLAS thread count for every test after this one.
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only the workload and tracer modules are loaded: importing perfbench/run.py
+# would pin the BLAS thread count for every test after this one.
+workloads = _load("workloads")
+tracing = _load("tracing")
 
 
 def differences(expected, actual, path=""):
@@ -39,9 +48,29 @@ def differences(expected, actual, path=""):
     return []
 
 
+def cycle_summaries(name, workdir):
+    workload = workloads.WORKLOADS[name]
+    workload.setup(REFERENCE["seed"], str(workdir))
+    return [workload.summary(workload.run(i)) for i in range(workload.cycle)]
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_matches_reference(name, tmp_path):
-    workload = workloads.WORKLOADS[name]
-    workload.setup(REFERENCE["seed"], str(tmp_path))
-    summaries = [workload.summary(workload.run(i)) for i in range(workload.cycle)]
+    assert differences(REFERENCE["workloads"][name], cycle_summaries(name, tmp_path)) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_workload_matches_reference(name, tmp_path):
+    """The tracer wraps every layer function and reads its hooks' argument
+    names on each call, as ``perfbench/run.py --trace 1`` does."""
+    from ridgeboot import theory, tuning
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert theory.cv_select is tuning.cv_select and hasattr(tuning.cv_select, "__wrapped__")
+        summaries = cycle_summaries(name, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracer.spans
     assert differences(REFERENCE["workloads"][name], summaries) == []

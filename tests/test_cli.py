@@ -181,6 +181,18 @@ def test_simulate_rejects_p_not_below_n(tmp_path, capsys, p):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dof", ["3", "nan"])
+def test_simulate_rejects_bad_noise_law(tmp_path, capsys, dof):
+    # A t law without a finite fourth moment is a bad argument (exit 2), not a
+    # numerical failure (exit 3), and is refused before any design is drawn.
+    out = tmp_path / "x.csv"
+    args = ["simulate", "--out", str(out), "--n", "20", "--p", "5", "--eta", "0.5",
+            "--N1", "1", "--N2", "2", "--B", "50", "--noise-dof", dof]
+    assert main(args) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_config_and_preset_conflict(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     write_config(ExperimentConfig(n=10, p=2, eta=0.5, N1=1, N2=4, B=50), str(cfg))

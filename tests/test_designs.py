@@ -1,14 +1,14 @@
-"""Random designs, noise families, and the power-law covariance model."""
+"""Random designs, noise families, and the power-law covariance root."""
 
 import numpy as np
 import pytest
 
+from helpers import design_two_step
 from ridgeboot.designs import (
-    CovarianceModel,
     NoiseSpec,
+    covariance_root,
     generate_dataset,
     make_beta,
-    make_covariance,
     sample_design,
     sample_noise,
 )
@@ -16,61 +16,53 @@ from ridgeboot.errors import InputError, MomentConditionError
 
 
 # ---------------------------------------------------------------------------
-# covariance model
+# covariance root
 
 def test_covariance_eta_zero_is_identity():
-    cov = make_covariance(4, 0.0, np.random.default_rng(1))
-    np.testing.assert_allclose(cov.covariance(), np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(cov.eigenvalues, np.ones(4))
+    root = covariance_root(4, 0.0, np.random.default_rng(1))
+    np.testing.assert_allclose(root, np.eye(4), atol=1e-12)
 
 
 def test_covariance_power_law_eigenvalues():
-    cov = make_covariance(6, 1.0, np.random.default_rng(2))
-    np.testing.assert_allclose(cov.eigenvalues, 1.0 / np.arange(1, 7))
-    assert cov.eigenvalues[0] == 1.0
-    Q = cov.eigenbasis
-    np.testing.assert_allclose(Q.T @ Q, np.eye(6), atol=1e-10)
+    root = covariance_root(6, 1.0, np.random.default_rng(2))
+    cov = root @ root
+    np.testing.assert_allclose(np.linalg.eigvalsh(cov)[::-1], 1.0 / np.arange(1, 7), atol=1e-12)
+    np.testing.assert_allclose(root, root.T, atol=1e-12)
     # operator norm 1 by construction
-    assert np.linalg.norm(cov.covariance(), 2) == pytest.approx(1.0, rel=1e-9)
+    assert np.linalg.norm(cov, 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_covariance_sqrt_squares_back():
-    cov = make_covariance(5, 0.7, np.random.default_rng(3))
-    root = cov.sqrt()
-    err = np.linalg.norm(root @ root - cov.covariance()) / np.linalg.norm(cov.covariance())
-    assert err <= 1e-9
+    """The root is symmetric with the square roots of j^(-eta) as eigenvalues."""
+    root = covariance_root(5, 0.7, np.random.default_rng(3))
+    np.testing.assert_allclose(root, root.T, atol=1e-12)
+    lam = np.arange(1, 6, dtype=float) ** -0.7
+    np.testing.assert_allclose(np.linalg.eigvalsh(root)[::-1], np.sqrt(lam), rtol=1e-9)
 
 
 def test_covariance_seed_reproducible():
-    a = make_covariance(4, 0.5, np.random.default_rng(9))
-    b = make_covariance(4, 0.5, np.random.default_rng(9))
-    np.testing.assert_array_equal(a.eigenbasis, b.eigenbasis)
-
-
-def test_covariance_model_validation():
-    with pytest.raises(InputError):
-        CovarianceModel(2, 0.5, np.array([0.5, 1.0]), np.eye(2))  # increasing
-    with pytest.raises(InputError):
-        CovarianceModel(2, 0.5, np.array([1.0, 0.5]), np.ones((2, 2)))  # not orthonormal
+    a = covariance_root(4, 0.5, np.random.default_rng(9))
+    b = covariance_root(4, 0.5, np.random.default_rng(9))
+    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
 # design sampling
 
 def test_sample_covariance_converges():
-    rng = np.random.default_rng(4)
-    cov = make_covariance(3, 1.0, rng)
-    X = sample_design(10 ** 5, cov, rng)
+    # The draw takes the root first, so the same seed gives the rows' root.
+    root = covariance_root(3, 1.0, np.random.default_rng(4))
+    X = sample_design(10 ** 5, 3, 1.0, np.random.default_rng(4))
     S = X.T @ X / X.shape[0]
-    rel = np.linalg.norm(S - cov.covariance()) / np.linalg.norm(cov.covariance())
+    cov = root @ root
+    rel = np.linalg.norm(S - cov) / np.linalg.norm(cov)
     assert rel <= 0.02
 
 
 def test_identity_covariance_marchenko_pastur_support():
     rng = np.random.default_rng(5)
     n, p = 2000, 200
-    cov = make_covariance(p, 0.0, rng)
-    X = sample_design(n, cov, rng)
+    X = sample_design(n, p, 0.0, rng)
     lam = np.linalg.eigvalsh(X.T @ X / n)
     ratio = p / n
     lo = (1 - np.sqrt(ratio)) ** 2
@@ -80,10 +72,31 @@ def test_identity_covariance_marchenko_pastur_support():
 
 
 def test_sample_design_seed_deterministic():
-    cov = make_covariance(3, 0.5, np.random.default_rng(6))
-    X1 = sample_design(8, cov, np.random.default_rng(10))
-    X2 = sample_design(8, cov, np.random.default_rng(10))
+    X1 = sample_design(8, 3, 0.5, np.random.default_rng(10))
+    X2 = sample_design(8, 3, 0.5, np.random.default_rng(10))
     np.testing.assert_array_equal(X1, X2)
+
+
+@pytest.mark.parametrize("n, p, eta", [
+    (1, 1, 0.5), (8, 1, 0.0), (5, 3, 0.0), (40, 12, 1.0), (100, 95, 0.5), (30, 36, 1.5),
+])
+def test_sample_design_matches_two_step_draw(n, p, eta):
+    """One call gives the bits and generator state of the eigenbasis-then-rows
+    draw it replaced."""
+    g, h = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(2):
+        a, b = sample_design(n, p, eta, g), design_two_step(n, p, eta, h)
+        assert a.shape == (n, p) and a.tobytes() == b.tobytes()
+    assert g.bit_generator.state == h.bit_generator.state
+
+
+def test_design_arguments_validated():
+    rng = np.random.default_rng(18)
+    for p, eta in ((0, 0.5), (2.0, 0.5), (3, -0.1), (3, float("nan"))):
+        with pytest.raises(InputError):
+            covariance_root(p, eta, rng)
+    with pytest.raises(InputError):
+        sample_design(0, 3, 0.5, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +180,17 @@ def test_make_beta_unit_norm():
 
 def test_generate_dataset_zero_noise_exact():
     rng = np.random.default_rng(12)
-    cov = make_covariance(3, 0.5, rng)
     beta = make_beta(3)
     spec = NoiseSpec(family="normal", sigma=0.0)
-    data = generate_dataset(10, cov, beta, spec, rng)
+    data = generate_dataset(10, 0.5, beta, spec, rng)
     np.testing.assert_allclose(data.Y, data.X @ beta, atol=1e-14)
 
 
 def test_generate_dataset_seed_deterministic():
-    cov = make_covariance(3, 0.5, np.random.default_rng(13))
     beta = make_beta(3)
     spec = NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)
-    d1 = generate_dataset(12, cov, beta, spec, np.random.default_rng(14))
-    d2 = generate_dataset(12, cov, beta, spec, np.random.default_rng(14))
+    d1 = generate_dataset(12, 0.5, beta, spec, np.random.default_rng(14))
+    d2 = generate_dataset(12, 0.5, beta, spec, np.random.default_rng(14))
     np.testing.assert_array_equal(d1.X, d2.X)
     np.testing.assert_array_equal(d1.Y, d2.Y)
 
@@ -209,8 +220,7 @@ def test_sample_eigenvalue_bracket_soft_check():
     for seed in range(trials):
         rng = np.random.default_rng(200 + seed)
         for eta, p in ((0.5, 45), (1.0, 95)):
-            cov = make_covariance(p, eta, rng)
-            X = sample_design(100, cov, rng)
+            X = sample_design(100, p, eta, rng)
             lam = np.sort(np.linalg.eigvalsh(X.T @ X / 100))[::-1]
             idx = np.arange(1, p + 1, dtype=float)
             profile = idx ** (-eta)

@@ -12,8 +12,8 @@ import pytest
 import ridgeboot
 from helpers import REDUCED_KNOBS
 from ridgeboot import harness
-from ridgeboot.designs import make_covariance, sample_design, sample_noise
-from ridgeboot.errors import ConfigError, RidgebootError
+from ridgeboot.designs import sample_design, sample_noise
+from ridgeboot.errors import ConfigError
 from ridgeboot.harness import (
     CHECK_SUITES,
     FIELD_TYPES,
@@ -125,13 +125,12 @@ def test_config_validation():
         dict(ok, grid_min_factor=0.0),
         dict(ok, p=10),  # p = n
         dict(ok, p=12),  # p > n
+        dict(ok, noise_dof=4.0),  # t law without a finite fourth moment
+        dict(ok, noise_dof=float("nan")),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
-    # moment condition on the noise family is enforced eagerly
-    with pytest.raises(RidgebootError):
-        ExperimentConfig(**dict(ok, noise_dof=4.0))
 
 
 def test_method_result_validation():
@@ -296,10 +295,12 @@ def test_run_check_suite_rejects_unknowns():
     ("design-events", {"n_min": 0}),
     ("mspe-link", {"sweep": -3}),
     ("theorem1", {"sweep": -1}),
+    ("theorem1", {"sweep": 0, "include_settings": 7, "settings_m": 2000}),
 ])
 def test_run_check_suite_rejects_empty_or_endless_knobs(suite, knobs):
-    """A grid from 0 would double forever and a negative sweep would run no
-    check; both are ConfigErrors before any work."""
+    """A grid from 0 would double forever, a negative sweep would run no check
+    and theorem1's include_settings is a 0/1 switch; each is a ConfigError
+    before any work."""
     with pytest.raises(ConfigError):
         run_check_suite(suite, 0, overrides=knobs)
 
@@ -382,7 +383,7 @@ def test_oracle_width_is_the_error_law_range():
     oracle = run_table1(config).by_method()["oracle"]
 
     gen = np.random.default_rng(seed_split(config.seed, (0,)))
-    X = sample_design(config.n, make_covariance(config.p, config.eta, gen), gen)
+    X = sample_design(config.n, config.p, config.eta, gen)
     fact = DesignFactorization(X)
     c = X[int(np.argmax(fact.leverage()))]
     _, rho = penalty_pair(default_grid(config.n, config.grid_size, config.grid_min_factor)[0])

@@ -11,7 +11,6 @@ from ridgeboot.designs import (
     NoiseSpec,
     generate_dataset,
     make_beta,
-    make_covariance,
     sample_design,
     sample_noise,
 )
@@ -90,8 +89,7 @@ def test_theorem1_holds_with_injected_noise():
     """With beta = 0 and a huge pilot penalty the residuals are the raw noise,
     so the residual-law term dominates and the bound must hold comfortably."""
     rng = np.random.default_rng(21)
-    cov = make_covariance(10, 0.5, rng)
-    X = sample_design(40, cov, rng)
+    X = sample_design(40, 10, 0.5, rng)
     noise = NoiseSpec(family="two_point", sigma=0.5)
     eps = sample_noise(noise, 40, rng)
     data = Dataset(X=X, Y=eps)
@@ -106,10 +104,9 @@ def test_theorem1_holds_with_injected_noise():
 
 def test_theorem1_holds_on_fitted_pilot():
     rng = np.random.default_rng(33)
-    cov = make_covariance(12, 1.0, rng)
     beta = make_beta(12)
     noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
-    data = generate_dataset(50, cov, beta, noise, rng)
+    data = generate_dataset(50, 1.0, beta, noise, rng)
     c = data.X[3]
     rep = check_theorem1(data, beta, noise, c, rho=2.0, pilot_rho=10.0,
                          rng=rng, m_boot=4000, m_ref=20000)
@@ -121,7 +118,7 @@ def test_theorem1_matches_frozen_inline_form(family):
     rng = np.random.default_rng(35)
     noise = NoiseSpec(family=family, sigma=0.3, dof=6.0)
     beta = make_beta(12)
-    data = generate_dataset(30, make_covariance(12, 0.8, rng), beta, noise, rng)
+    data = generate_dataset(30, 0.8, beta, noise, rng)
     args = (data, beta, noise, data.X[2], 3.0, 8.0)
     rep = check_theorem1(*args, np.random.default_rng(5), m_boot=3000, m_ref=6000)
     lhs, rhs = theorem1_sides(*args, np.random.default_rng(5), 3000, 6000)
@@ -133,7 +130,7 @@ def test_law_gap_of_contrast_matrix_matches_single_contrasts():
     rng = np.random.default_rng(36)
     noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
     beta = make_beta(15)
-    data = generate_dataset(40, make_covariance(15, 1.0, rng), beta, noise, rng)
+    data = generate_dataset(40, 1.0, beta, noise, rng)
     C = rng.standard_normal((15, 3))
     args = (data, beta, noise)
     g = np.random.default_rng(3)
@@ -159,7 +156,7 @@ def test_theorem1_rejects_empty_samples_before_any_draw(check, knob, value):
     rng = np.random.default_rng(37)
     noise = NoiseSpec(family="normal", sigma=0.2)
     beta = make_beta(5)
-    data = generate_dataset(20, make_covariance(5, 1.0, rng), beta, noise, rng)
+    data = generate_dataset(20, 1.0, beta, noise, rng)
     state = rng.bit_generator.state
     sizes = {"m_boot": 2000, "m_ref": 4000, knob: value}
     calls = {
@@ -207,7 +204,7 @@ def test_theorem1_bad_contrast_refused_before_any_draw():
     rng = np.random.default_rng(34)
     noise = NoiseSpec(family="scaled_t", sigma=0.2, dof=5.0)
     beta = make_beta(10)
-    data = generate_dataset(40, make_covariance(10, 1.0, rng), beta, noise, rng)
+    data = generate_dataset(40, 1.0, beta, noise, rng)
     state = rng.bit_generator.state
     for bad in (np.ones(11), np.r_[np.nan, np.ones(9)]):
         with pytest.raises(InputError, match="finite length-p vector"):
@@ -260,10 +257,9 @@ def test_checks_refuse_bad_ground_truth_before_any_draw():
 
 def _link_dataset(seed):
     rng = np.random.default_rng(seed)
-    cov = make_covariance(15, 1.0, rng)
     beta = make_beta(15)
     noise = NoiseSpec(family="scaled_t", sigma=0.3, dof=6.0)
-    return generate_dataset(60, cov, beta, noise, rng), beta, noise, rng
+    return generate_dataset(60, 1.0, beta, noise, rng), beta, noise, rng
 
 
 def test_mspe_link_holds_for_each_estimator():
@@ -300,10 +296,9 @@ def test_mspe_link_perfect_estimator_has_zero_mspe():
 
 def test_mspe_link_ols_needs_tall_design():
     rng = np.random.default_rng(4)
-    cov = make_covariance(30, 0.5, rng)
     beta = make_beta(30)
     noise = NoiseSpec(sigma=0.3)
-    data = generate_dataset(20, cov, beta, noise, rng)
+    data = generate_dataset(20, 0.5, beta, noise, rng)
     with pytest.raises(InputError):
         check_mspe_link(data, beta, noise, "ols", reps=2, rng=rng, m_ref=5000)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridgeboot import tuning
-from ridgeboot.designs import NoiseSpec, make_beta, make_covariance, sample_design, sample_noise
+from ridgeboot.designs import NoiseSpec, make_beta, sample_design, sample_noise
 from ridgeboot.errors import InputError
 from ridgeboot.linmodel import Dataset, DesignFactorization
 from ridgeboot.tuning import (
@@ -233,8 +233,7 @@ def test_pilot_residual_sd_guard():
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
-            cov = make_covariance(p, eta, rng)
-            X = sample_design(100, cov, rng)
+            X = sample_design(100, p, eta, rng)
             beta = make_beta(p)
             data = Dataset(X, X @ beta + sample_noise(spec, 100, rng))
             plan = cv_select(data, rng=rng)
