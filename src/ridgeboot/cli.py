@@ -41,7 +41,7 @@ from .harness import (  # noqa: E402
     write_results,
 )
 from .linmodel import Dataset, read_matrix_csv, read_vector_csv  # noqa: E402
-from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb  # noqa: E402
+from .resampling import INTERVALS, LEAST_SQUARES  # noqa: E402
 from .tuning import cv_select  # noqa: E402
 
 
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--design", required=True, help="headerless CSV, rows = observations")
     ci.add_argument("--response", required=True, help="single-column CSV")
     ci.add_argument("--contrast", required=True, help="row:<i> or file:<path>")
-    ci.add_argument("--method", choices=("ridge_rb", "normal", "ols_rb"), default="ridge_rb")
+    ci.add_argument("--method", choices=tuple(INTERVALS), default=next(iter(INTERVALS)))
     ci.add_argument("--level", type=float, default=0.9)
     ci.add_argument("--B", type=int, default=1000)
     ci.add_argument("--rho", type=float, default=None, help="default: 0.1 * cv penalty")
@@ -108,24 +108,21 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     Y = read_vector_csv(args.response)
     data = Dataset(X, Y)
     c = _parse_contrast(args.contrast, X)
+    if args.method in LEAST_SQUARES and data.p >= data.n:
+        raise InputError(f"--method {args.method} fits least squares, which needs p < n; "
+                         f"the design has p = {data.p}, n = {data.n}")
     gen = np.random.default_rng(seed_split(seed, (0,)))
 
     rho = args.rho
     pilot = args.pilot_rho
-    need_pilot = args.method == "ridge_rb"
-    if rho is None or (need_pilot and pilot is None):
+    if rho is None or (args.method == "ridge_rb" and pilot is None):
         plan = cv_select(data, rng=gen)
         if rho is None:
             rho = plan.inference_rho
         if pilot is None:
             pilot = plan.pilot_rho
 
-    if args.method == "ridge_rb":
-        interval = ci_ridge_rb(data, c, rho, pilot, args.B, args.level, gen)
-    elif args.method == "normal":
-        interval = ci_normal(data, c, rho, args.level)
-    else:
-        interval = ci_ols_rb(data, c, args.B, args.level, gen)
+    interval = INTERVALS[args.method](data, c, rho, pilot, args.B, args.level, gen)
 
     print("method,level,lower,upper,estimate")
     print(

@@ -38,8 +38,8 @@ class NoiseSpec:
             raise InputError("sigma must be a finite nonnegative real")
         if self.family == "scaled_t" and not self.dof > 4:
             raise MomentConditionError("t noise requires dof > 4 for a finite fourth moment")
-        if self.family == "scaled_t" and not np.isfinite(self.dof):
-            raise InputError("t noise requires a finite dof")
+        if not np.isfinite(self.dof):
+            raise InputError("noise dof must be finite")
 
 
 def covariance_root(p: int, eta: float, rng: np.random.Generator) -> np.ndarray:

@@ -28,7 +28,7 @@ from .designs import (
 )
 from .errors import ConfigError, DegenerateDataError, RidgebootError
 from .linmodel import Dataset, theta_rule
-from .resampling import ci_normal, ci_ols_rb, ci_ridge_rb, pivot_interval
+from .resampling import INTERVALS, pivot_interval
 from .theory import (
     CheckReport,
     check_design_events,
@@ -67,7 +67,7 @@ __all__ = [
     "CHECK_SUITES",
 ]
 
-METHODS = ("oracle", "ridge_rb", "normal", "ols_rb")
+METHODS = ("oracle", *INTERVALS)
 
 _MASK64 = (1 << 64) - 1
 
@@ -151,6 +151,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive")
+            if not np.isfinite(value * self.n):
+                raise ConfigError(f"the CV penalty {name} * n must be finite")
         if self.grid_min_factor >= self.grid_max_factor and self.grid_size > 1:
             raise ConfigError("grid_min_factor must be below grid_max_factor")
         if self.cv_per_design not in (0, 1):
@@ -232,20 +234,18 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
         try:
             if plan is None or not config.cv_per_design:
                 plan = cv_select(data, grid=grid, folds=config.folds, rng=gen)
-            rho, varrho = plan.inference_rho, plan.pilot_rho
-            ridge = ci_ridge_rb(data, c, rho, varrho, config.B, config.level, gen)
-            normal = ci_normal(data, c, rho, config.level)
-            ols = ci_ols_rb(data, c, config.B, config.level, gen)
+            intervals = [build(data, c, plan.inference_rho, plan.pilot_rho, config.B,
+                               config.level, gen) for build in INTERVALS.values()]
         except RidgebootError:
             skips += 1
             continue
-        for tag, ci in (("ridge_rb", ridge), ("normal", normal), ("ols_rb", ols)):
-            cover[tag] += int(ci.lower <= target <= ci.upper)
-            width_sum[tag] += ci.width
-        errors.append(ridge.estimate - target)
+        for ci in intervals:
+            cover[ci.method] += int(ci.lower <= target <= ci.upper)
+            width_sum[ci.method] += ci.width
+        errors.append(intervals[0].estimate - target)
 
-    # The infeasible benchmark: the quantile pivot on the realized error
-    # pool of this design, shared by all its instances.  Anchored at 0 it
+    # The infeasible benchmark: the quantile pivot on the realized errors of
+    # the first (ridge) estimate, shared by all the design's instances.  At 0 it
     # is [-q_hi, -q_lo], the offset of every instance's interval from its
     # own point, so an instance covers the target iff -error lies inside.
     if errors:
@@ -417,7 +417,7 @@ def preset_config(
     seed: int = 0,
     threads: int = 1,
 ) -> ExperimentConfig:
-    """Named experiment presets at desk (minutes) or full (hours) scale."""
+    """Named experiment presets at desk or full scale (README gives their run times)."""
     if name not in _SETTINGS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_SETTINGS)}")
     if scale not in _SCALES:

@@ -5,7 +5,7 @@ exact prediction error.
 Everything penalty-dependent is computed from one thin SVD of the design,
 reused across penalties (the harness evaluates many penalties per design).
 Penalties are always on the raw scale of (X^T X + rho I); the exponent form
-rho = n^(1-gamma) is converted by ``tuning.exponent_to_penalty``.
+rho = n^(1-gamma) is converted by ``exponent_to_penalty``.
 """
 
 from __future__ import annotations
@@ -151,7 +151,10 @@ class DesignFactorization:
 
     def leverage(self) -> np.ndarray:
         if not self.full_column_rank:
-            raise SingularSystemError("leverage scores require full column rank, p <= n")
+            cause = (f"p = {self.p} exceeds n = {self.n}" if self.p > self.n else
+                     f"the design is numerically rank-deficient (singular values "
+                     f"{self.s[-1]:.3g} to {self.s[0]:.3g})")
+            raise SingularSystemError(f"leverage scores need full column rank: {cause}")
         return np.sum(self.U * self.U, axis=1)
 
 
@@ -179,6 +182,15 @@ def mspe_exact(
         bias_term = float(xd @ xd) / n
     var_term = sigma_sq / n * float(shrink @ shrink)
     return bias_term + var_term
+
+
+def exponent_to_penalty(n: int, exponent: float) -> float:
+    """Raw penalty n * n^(-exponent) = n^(1-exponent)."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise InputError("n must be a positive integer")
+    if not (np.isfinite(exponent) and exponent > 0):
+        raise InputError("exponent must be positive")
+    return float(n) ** (1.0 - float(exponent))
 
 
 def theta_rule(nu: float) -> float:

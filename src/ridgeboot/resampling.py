@@ -1,6 +1,6 @@
 """Two-stage residual bootstrap engine, the three feasible confidence-interval
-constructions of the simulation study, and the quantile pivot that the
-bootstrap intervals share with the oracle.
+constructions of the simulation study and their table ``INTERVALS``, and the
+quantile pivot that the bootstrap intervals share with the oracle.
 
 The two-stage scheme: a pilot ridge fit at penalty pilot_rho produces
 residuals whose centered empirical law stands in for the noise distribution;
@@ -278,3 +278,14 @@ def ci_ols_rb(
 ) -> ConfidenceInterval:
     """Least-squares residual bootstrap: the ridge pipeline at rho = pilot = 0."""
     return replace(ci_ridge_rb(data, c, 0.0, 0.0, B, level, rng), method="ols_rb")
+
+
+# Method -> builder (data, c, rho, pilot_rho, B, level, rng), in draw order, ridge_rb
+# first; each finds its constructor at call time, so a rebound name (a tracer) sees it.
+INTERVALS = {
+    "ridge_rb": lambda *args: ci_ridge_rb(*args),
+    "normal": lambda data, c, rho, pilot_rho, B, level, rng: ci_normal(data, c, rho, level),
+    "ols_rb": lambda data, c, rho, pilot_rho, B, level, rng: ci_ols_rb(data, c, B, level, rng),
+}
+# The intervals built on the least-squares fit, which needs p < n.
+LEAST_SQUARES = ("normal", "ols_rb")

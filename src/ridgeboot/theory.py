@@ -20,10 +20,10 @@ import numpy as np
 from . import _kernels
 from .designs import NoiseSpec, make_beta, sample_design, sample_noise
 from .errors import DegenerateContrastError, InputError
-from .linmodel import Dataset, DesignFactorization, _as_vector, mspe_exact, theta_rule
+from .linmodel import (Dataset, DesignFactorization, _as_vector, exponent_to_penalty, mspe_exact,
+                       theta_rule)
 from .mallows import center_residuals
 from .resampling import rb_contrast_draws
-from .tuning import cv_select, exponent_to_penalty
 
 __all__ = [
     "CheckReport",
@@ -320,9 +320,10 @@ def check_mspe_link(
     twice the exact conditional prediction error plus twice the mean
     squared distance of a raw n-sample of the noise plus ``2 sigma^2/n``.
     ``estimator`` selects how residuals are produced: ``"ridge"`` (pilot
-    fit at ``varrho``), ``"ols"`` (unpenalized fit), or ``"perfect"``
-    (true coefficients, so residuals equal the noise exactly).  ``beta`` and
-    ``noise`` are the true coefficients and noise law behind ``data``.
+    fit at ``varrho``, which it requires), ``"ols"`` (unpenalized fit), or
+    ``"perfect"`` (true coefficients, so residuals equal the noise exactly).
+    ``beta`` and ``noise`` are the true coefficients and noise law behind
+    ``data``.
     """
     beta = _ground_truth(data, beta, noise)
     if estimator not in ("ridge", "ols", "perfect"):
@@ -330,6 +331,8 @@ def check_mspe_link(
     if reps < 1:
         raise InputError("need at least one repetition")
     _check_sizes(m_ref=m_ref)
+    if estimator == "ridge" and varrho is None:
+        raise InputError("the ridge estimator needs its pilot penalty varrho")
     sigma_sq = float(noise.sigma) ** 2
     n = data.n
 
@@ -341,8 +344,6 @@ def check_mspe_link(
                 raise InputError("ols estimator needs a full-column-rank design")
             rho_used = 0.0
         else:
-            if varrho is None:
-                varrho = cv_select(data, rng=rng).pilot_rho
             rho_used = float(varrho)
         mspe = mspe_exact(data.fact, beta, rho_used, sigma_sq)
 
@@ -405,12 +406,7 @@ def rate_mspe(
             X, beta = _draw_design(n, nu, rng)
             acc += mspe_exact(DesignFactorization(X), beta, varrho, _SIGMA_SQ)
         values.append(acc / trials)
-    if nu < 0.5:
-        target = -2.0 * nu / 3.0
-    elif nu > 0.5:
-        target = -nu / (nu + 1.0)
-    else:
-        target = -1.0 / 3.0
+    target = -theta
     return _fit_rate(grid, values, target, (target - _BAND_HALFWIDTH, target + _BAND_HALFWIDTH))
 
 

@@ -1,6 +1,5 @@
 """Cross-validated selection of the base penalty r_hat and the prefactor
-mapping (pilot, inference) = (5 r_hat, 0.1 r_hat), plus the exponent form
-penalty = n^(1 - exponent) used by the theory checks.
+mapping (pilot, inference) = (5 r_hat, 0.1 r_hat).
 """
 
 from __future__ import annotations
@@ -74,15 +73,6 @@ def penalty_pair(r_hat: float) -> tuple[float, float]:
     if not (np.isfinite(r_hat) and r_hat > 0):
         raise InputError("r_hat must be positive")
     return PILOT_PREFACTOR * r_hat, INFERENCE_PREFACTOR * r_hat
-
-
-def exponent_to_penalty(n: int, exponent: float) -> float:
-    """Raw penalty n * n^(-exponent) = n^(1-exponent)."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InputError("n must be a positive integer")
-    if not (np.isfinite(exponent) and exponent > 0):
-        raise InputError("exponent must be positive")
-    return float(n) ** (1.0 - float(exponent))
 
 
 def _held_out_residuals(

@@ -48,7 +48,10 @@ from ridgeboot.harness import PRESETS, run_check_suite  # noqa: E402
 
 SUITE_SEEDS = (0, 5)
 CI_SHAPES = {"tall": (40, 8), "wide": (60, 50)}
-CI_PENALTIES = {"cv": [], "rho": ["--rho", "0.5"], "rho+pilot": ["--rho", "0.5", "--pilot-rho", "2.0"]}
+# ci's penalty rule: cross validation runs unless --rho, and for ridge_rb also
+# --pilot-rho, is given.
+CI_PENALTIES = {"cv": [], "rho": ["--rho", "0.5"],
+                "rho+pilot": ["--rho", "0.5", "--pilot-rho", "2.0"]}
 CI_LEVELS = ("0.5", "0.8", "0.9", "0.95")
 
 
@@ -93,12 +96,14 @@ def simulate_entries(tmp: Path) -> dict:
 
 
 def check_entries() -> dict:
+    """``repr`` of every row: the report CSV's %.10g would hide a 1-ulp move."""
     entries = {}
     for suite, knobs in REDUCED_KNOBS.items():
         for seed in SUITE_SEEDS:
-            entries[f"check/{suite}/seed{seed}"] = [repr(row) for row in run_check_suite(suite, seed, knobs)]
-    knobs = dict(REDUCED_KNOBS["theorem1"], include_settings=1)
-    entries["check/theorem1/include_settings/seed0"] = [repr(row) for row in run_check_suite("theorem1", 0, knobs)]
+            rows = run_check_suite(suite, seed, knobs)
+            entries[f"check/{suite}/seed{seed}"] = [repr(row) for row in rows]
+    rows = run_check_suite("theorem1", 0, dict(REDUCED_KNOBS["theorem1"], include_settings=1))
+    entries["check/theorem1/include_settings/seed0"] = [repr(row) for row in rows]
     return entries
 
 

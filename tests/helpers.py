@@ -10,11 +10,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ridgeboot.designs import sample_noise
-from ridgeboot.linmodel import DesignFactorization
+from ridgeboot.linmodel import DesignFactorization, exponent_to_penalty
 from ridgeboot.mallows import center_residuals, d2_empirical
 from ridgeboot.resampling import rb_contrast_draws
 from ridgeboot.theory import _PSI_CHUNK_CELLS, _THEOREM4_NOISE, _draw_design, _noise_gap
-from ridgeboot.tuning import exponent_to_penalty
 
 # Knobs that run each check suite in about a second, for tests of the
 # report plumbing and of rerun determinism.

@@ -63,12 +63,12 @@ def test_workload_matches_reference(name, tmp_path):
 def test_traced_workload_matches_reference(name, tmp_path):
     """The tracer wraps every layer function and reads its hooks' argument
     names on each call, as ``perfbench/run.py --trace 1`` does."""
-    from ridgeboot import theory, tuning
+    from ridgeboot import harness, tuning
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert theory.cv_select is tuning.cv_select and hasattr(tuning.cv_select, "__wrapped__")
+        assert harness.cv_select is tuning.cv_select and hasattr(tuning.cv_select, "__wrapped__")
         summaries = cycle_summaries(name, tmp_path)
     finally:
         tracer.uninstall()

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ridgeboot import cli
 from ridgeboot.cli import main
 from ridgeboot.harness import REPORT_COLUMNS, ExperimentConfig, write_config
 
@@ -96,6 +97,29 @@ def test_ci_input_errors(ci_files, tmp_path, capsys):
         for method in ("normal", "ridge_rb"):
             assert main(_ci_args(design, response, method=method, rho=rho, pilot_rho=1.0)) == 2
             assert "rho must be a finite nonnegative real" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, code", [("ridge_rb", 0), ("normal", 2), ("ols_rb", 2)])
+def test_ci_wide_design_refuses_least_squares_methods(tmp_path, capsys, monkeypatch, method, code):
+    """On a 10x20 design the normal and ols_rb intervals, which fit least
+    squares, exit 2 before cross validation runs; ridge_rb runs there."""
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((10, 20))
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "Y.csv", X @ np.full(20, 0.2) + 0.1 * rng.standard_normal(10),
+               delimiter=",")
+    cv_calls = []
+    cv_select = cli.cv_select
+    monkeypatch.setattr(cli, "cv_select",
+                        lambda *a, **kw: cv_calls.append(a) or cv_select(*a, **kw))
+    assert main(_ci_args(str(tmp_path / "X.csv"), str(tmp_path / "Y.csv"), method=method,
+                         B=100)) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and cv_calls == []
+        assert "InputError" in captured.err and "needs p < n" in captured.err
+    else:
+        assert captured.out.splitlines()[1].startswith("ridge_rb,") and len(cv_calls) == 1
 
 
 _MALFORMED = {"cell": ("1,2,3\n4,x,6\n", "1\nx\n3\n"), "ragged": ("1,2,3\n4,5\n", "1\n2,3\n4\n")}
@@ -190,6 +214,40 @@ def test_simulate_rejects_bad_noise_law(tmp_path, capsys, dof):
             "--N1", "1", "--N2", "2", "--B", "50", "--noise-dof", dof]
     assert main(args) == 2
     assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid-max-factor", "1e308"], "grid_max_factor * n must be finite"),
+        (["--noise-family", "normal", "--noise-dof", "nan"], "noise dof must be finite"),
+        (["--noise-family", "two_point", "--noise-dof", "inf"], "noise dof must be finite"),
+    ],
+    ids=["grid-overflow", "normal-nan-dof", "two-point-inf-dof"],
+)
+def test_simulate_rejects_non_finite_grid_and_dof(tmp_path, capsys, flags, message):
+    # Both used to run: the overflowing grid to exit 3 after the last design,
+    # a non-finite dof of a law that ignores it into a config that fails its
+    # own write/read round trip.
+    out = tmp_path / "x.csv"
+    args = ["simulate", "--out", str(out), "--n", "20", "--p", "5", "--eta", "0.5",
+            "--N1", "1", "--N2", "2", "--B", "50", *flags]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and message in err
+    assert not out.exists()
+
+
+def test_simulate_rank_deficient_design_names_the_cause(tmp_path, capsys):
+    # At eta = 12 the spectrum j^(-12) leaves the 95-column design numerically
+    # rank-deficient although p < n, so the max-leverage row has no meaning.
+    out = tmp_path / "x.csv"
+    args = ["simulate", "--out", str(out), "--n", "100", "--p", "95", "--eta", "12",
+            "--N1", "1", "--N2", "2", "--B", "50"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "SingularSystemError" in err and "numerically rank-deficient" in err
     assert not out.exists()
 
 

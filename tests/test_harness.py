@@ -11,9 +11,9 @@ import pytest
 
 import ridgeboot
 from helpers import REDUCED_KNOBS
-from ridgeboot import harness
+from ridgeboot import harness, resampling
 from ridgeboot.designs import sample_design, sample_noise
-from ridgeboot.errors import ConfigError
+from ridgeboot.errors import ConfigError, DegenerateContrastError, DegenerateDataError
 from ridgeboot.harness import (
     CHECK_SUITES,
     FIELD_TYPES,
@@ -127,6 +127,8 @@ def test_config_validation():
         dict(ok, p=12),  # p > n
         dict(ok, noise_dof=4.0),  # t law without a finite fourth moment
         dict(ok, noise_dof=float("nan")),
+        dict(ok, noise_family="normal", noise_dof=float("nan")),  # a law that ignores dof
+        dict(ok, grid_max_factor=1e308),  # the top penalty 1e308 * n overflows
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -221,6 +223,53 @@ def test_run_table1_factorizes_each_design_once(monkeypatch):
     result = run_table1(config)
     assert result.skips == 0
     assert built == [(config.n, config.p)]
+
+
+def test_failed_response_is_skipped_for_every_method(monkeypatch):
+    """A response whose normal interval fails counts one skip, drops out of
+    every method's instances and out of its design's oracle pool."""
+    config = _small_config(N1=2, N2=6, B=50)
+    fail_at = {1, 4, 9}  # responses 0-5 belong to design 0, 6-11 to design 1
+    normal_calls, estimates, pools = [], [], []
+    ci_normal, ridge_rb, pivot_interval = (resampling.ci_normal, resampling.INTERVALS["ridge_rb"],
+                                           harness.pivot_interval)
+
+    def failing_normal(*args):
+        normal_calls.append(args)
+        if len(normal_calls) - 1 in fail_at:
+            raise DegenerateContrastError("injected")
+        return ci_normal(*args)
+
+    def recording_ridge_rb(*args):
+        ci = ridge_rb(*args)
+        estimates.append(ci.estimate)
+        return ci
+
+    def recording_pivot(method, draws, point, level):
+        pools.append(np.array(draws))
+        return pivot_interval(method, draws, point, level)
+
+    monkeypatch.setattr(resampling, "ci_normal", failing_normal)
+    monkeypatch.setitem(resampling.INTERVALS, "ridge_rb", recording_ridge_rb)
+    monkeypatch.setattr(harness, "pivot_interval", recording_pivot)
+    result = run_table1(config)
+    assert result.skips == len(fail_at)
+    assert [m.instances for m in result.methods] == [12 - len(fail_at)] * len(METHODS)
+    assert [pool.size for pool in pools] == [4, 5]
+    for design, pool in enumerate(pools):
+        kept = [estimates[r] for r in range(6 * design, 6 * design + 6) if r not in fail_at]
+        # Each pooled error is a kept response's estimate minus the design's target.
+        targets = np.asarray(kept) - pool
+        np.testing.assert_allclose(targets, targets[0], rtol=0, atol=1e-12)
+
+
+def test_every_response_failing_raises(monkeypatch):
+    def failing_normal(*args):
+        raise DegenerateContrastError("injected")
+
+    monkeypatch.setattr(resampling, "ci_normal", failing_normal)
+    with pytest.raises(DegenerateDataError, match="every response failed"):
+        run_table1(_small_config(N1=2, N2=3, B=50))
 
 
 def test_preset_config_values():

@@ -118,8 +118,10 @@ def test_leverage_matches_projector():
 
 def test_leverage_requires_full_rank():
     X = np.ones((4, 2))  # rank 1
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="numerically rank-deficient"):
         DesignFactorization(X).leverage()
+    with pytest.raises(SingularSystemError, match="p = 3 exceeds n = 2"):
+        DesignFactorization(np.ones((2, 3))).leverage()
 
 
 def test_leverage_argmax_ties_take_smallest_index():

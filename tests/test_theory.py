@@ -309,6 +309,10 @@ def test_mspe_link_validation():
         check_mspe_link(data, beta, noise, "bogus", reps=2, rng=rng)
     with pytest.raises(InputError):
         check_mspe_link(data, beta, noise, "ridge", reps=0, rng=rng, varrho=1.0)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match="needs its pilot penalty varrho"):
+        check_mspe_link(data, beta, noise, "ridge", reps=2, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from ridgeboot import tuning
 from ridgeboot.designs import NoiseSpec, make_beta, sample_design, sample_noise
 from ridgeboot.errors import InputError
-from ridgeboot.linmodel import Dataset, DesignFactorization
+from ridgeboot.linmodel import Dataset, DesignFactorization, exponent_to_penalty
 from ridgeboot.tuning import (
     INFERENCE_PREFACTOR,
     PILOT_PREFACTOR,
     cv_select,
     default_grid,
-    exponent_to_penalty,
     penalty_pair,
 )
 
