@@ -280,7 +280,7 @@ def ci_ols_rb(
     return replace(ci_ridge_rb(data, c, 0.0, 0.0, B, level, rng), method="ols_rb")
 
 
-# Method -> builder (data, c, rho, pilot_rho, B, level, rng), in draw order, ridge_rb
+# Method -> function (data, c, rho, pilot_rho, B, level, rng), in draw order, ridge_rb
 # first; each finds its constructor at call time, so a rebound name (a tracer) sees it.
 INTERVALS = {
     "ridge_rb": lambda *args: ci_ridge_rb(*args),

@@ -227,9 +227,9 @@ def test_simulate_rejects_bad_noise_law(tmp_path, capsys, dof):
     ids=["grid-overflow", "normal-nan-dof", "two-point-inf-dof"],
 )
 def test_simulate_rejects_non_finite_grid_and_dof(tmp_path, capsys, flags, message):
-    # Both used to run: the overflowing grid to exit 3 after the last design,
-    # a non-finite dof of a law that ignores it into a config that fails its
-    # own write/read round trip.
+    # Refused before any design: an overflowing grid fails every CV, and a
+    # non-finite dof, even of a law that ignores it, gives a config that fails
+    # its own write/read round trip.
     out = tmp_path / "x.csv"
     args = ["simulate", "--out", str(out), "--n", "20", "--p", "5", "--eta", "0.5",
             "--N1", "1", "--N2", "2", "--B", "50", *flags]
