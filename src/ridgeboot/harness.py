@@ -56,7 +56,6 @@ __all__ = [
     "run_table1",
     "read_config",
     "read_key_values",
-    "write_config",
     "write_results",
     "preset_config",
     "PRESETS",
@@ -147,6 +146,11 @@ class ExperimentConfig:
             raise ConfigError("sigma must be positive")
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ConfigError("eta must be a nonnegative real")
+        if float(self.p) ** -self.eta == 0.0:
+            raise ConfigError(
+                f"eta = {self.eta:g} underflows the covariance spectrum j^(-eta) to 0 at "
+                f"j = p = {self.p}, so every design would be singular"
+            )
         for name in ("grid_min_factor", "grid_max_factor"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -172,8 +176,8 @@ class ExperimentConfig:
         return NoiseSpec(family=self.noise_family, sigma=self.sigma, dof=self.noise_dof)
 
 
-# The type of every config field, read from its annotation: config files,
-# write_config and the simulate flags all convert through this one table.
+# The type of every config field, read from its annotation: config files and
+# the simulate flags both convert through this one table.
 FIELD_TYPES = get_type_hints(ExperimentConfig)
 REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
@@ -206,9 +210,6 @@ class Table1Result:
     methods: tuple
     skips: int
     config: ExperimentConfig
-
-    def by_method(self) -> dict:
-        return {m.method: m for m in self.methods}
 
 
 def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
@@ -299,17 +300,6 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
         for m in METHODS
     )
     return Table1Result(methods=methods, skips=skips, config=config)
-
-
-def write_config(config: ExperimentConfig, path: str) -> None:
-    """Write a flat key = value file with every config field."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, kind in FIELD_TYPES.items():
-            value = getattr(config, name)
-            if kind is float:
-                fh.write(f"{name} = {float(value):.17g}\n")
-            else:
-                fh.write(f"{name} = {kind(value)}\n")
 
 
 def read_key_values(path: str) -> dict:
@@ -411,12 +401,7 @@ PRESETS = tuple(_SETTINGS)
 SCALES = tuple(_SCALES)
 
 
-def preset_config(
-    name: str,
-    scale: str = "desk",
-    seed: int = 0,
-    threads: int = 1,
-) -> ExperimentConfig:
+def preset_config(name: str, scale: str = "desk") -> ExperimentConfig:
     """Named experiment presets at desk or full scale (README gives their run times)."""
     if name not in _SETTINGS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_SETTINGS)}")
@@ -424,7 +409,7 @@ def preset_config(
         raise ConfigError(f"unknown scale {scale!r}; choose from {sorted(_SCALES)}")
     n, p, eta = _SETTINGS[name]
     N1, N2, B = _SCALES[scale]
-    return ExperimentConfig(n=n, p=p, eta=eta, N1=N1, N2=N2, B=B, seed=seed, threads=threads)
+    return ExperimentConfig(n=n, p=p, eta=eta, N1=N1, N2=N2, B=B)
 
 
 # ---------------------------------------------------------------------------

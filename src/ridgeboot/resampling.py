@@ -103,6 +103,19 @@ def rb_contrast_draws(
     return _draw_contrast_values(atoms, weights, int(B), rng)
 
 
+def _order_statistics(values: np.ndarray, alphas: tuple) -> list:
+    """``quantile`` at each alpha, from one sort of ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise InputError("values must be a nonempty 1-D sequence")
+    if not all(0.0 <= alpha <= 1.0 for alpha in alphas):
+        raise InputError("alpha must lie in [0,1]")
+    B = values.size
+    ordered = np.sort(values)
+    return [float(ordered[min(max(int(math.ceil(alpha * B - 1e-9)), 1), B) - 1])
+            for alpha in alphas]
+
+
 def quantile(values: np.ndarray, alpha: float) -> float:
     """Order-statistic quantile: sorted value at 1-based index ceil(alpha*B).
 
@@ -110,15 +123,7 @@ def quantile(values: np.ndarray, alpha: float) -> float:
     alphas whose product is an exact integer are not bumped up by float excess
     (0.05 * 100 = 5.000000000000001 must select the 5th order statistic).
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise InputError("values must be a nonempty 1-D sequence")
-    if not (0.0 <= alpha <= 1.0):
-        raise InputError("alpha must lie in [0,1]")
-    B = values.size
-    k = int(math.ceil(alpha * B - 1e-9))
-    k = min(max(k, 1), B)
-    return float(np.sort(values)[k - 1])
+    return _order_statistics(values, (alpha,))[0]
 
 
 def pivot_interval(
@@ -127,11 +132,10 @@ def pivot_interval(
     """Quantile pivot [point - q_hi, point - q_lo] from draws of the error law.
 
     q_lo and q_hi are the (1 - level)/2 and (1 + level)/2 quantiles of the
-    draws: bootstrap contrasts for the resampling intervals, or realized
-    contrast errors for the oracle.
+    draws, by ``quantile``'s rule from one sort: bootstrap contrasts for the
+    resampling intervals, or realized contrast errors for the oracle.
     """
-    q_hi = quantile(draws, (1.0 + level) / 2.0)
-    q_lo = quantile(draws, (1.0 - level) / 2.0)
+    q_hi, q_lo = _order_statistics(draws, ((1.0 + level) / 2.0, (1.0 - level) / 2.0))
     return ConfidenceInterval(
         method=method, level=float(level), lower=point - q_hi, upper=point - q_lo, estimate=point
     )

@@ -63,8 +63,6 @@ def default_grid(
     """
     if n < 1 or size < 1:
         raise InputError("n and size must be positive")
-    if size == 1:
-        return np.array([min_factor * n])
     return np.geomspace(min_factor * n, max_factor * n, size)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from ridgeboot import cli
 from ridgeboot.cli import main
-from ridgeboot.harness import REPORT_COLUMNS, ExperimentConfig, write_config
+from ridgeboot.harness import REPORT_COLUMNS
 
 
 @pytest.fixture()
@@ -223,13 +223,16 @@ def test_simulate_rejects_bad_noise_law(tmp_path, capsys, dof):
         (["--grid-max-factor", "1e308"], "grid_max_factor * n must be finite"),
         (["--noise-family", "normal", "--noise-dof", "nan"], "noise dof must be finite"),
         (["--noise-family", "two_point", "--noise-dof", "inf"], "noise dof must be finite"),
+        (["--eta", "1e308"], "underflows the covariance spectrum"),
     ],
-    ids=["grid-overflow", "normal-nan-dof", "two-point-inf-dof"],
+    ids=["grid-overflow", "normal-nan-dof", "two-point-inf-dof", "eta-underflow"],
 )
 def test_simulate_rejects_non_finite_grid_and_dof(tmp_path, capsys, flags, message):
-    # Refused before any design: an overflowing grid fails every CV, and a
+    # Refused before any design: an overflowing grid fails every CV, a
     # non-finite dof, even of a law that ignores it, gives a config that fails
-    # its own write/read round trip.
+    # its own write/read round trip, and a spectrum 5^(-eta) that underflows
+    # makes every design singular (eta = 12 at p = 95 is ill-conditioned, not
+    # singular, and stops at the first design: exit 3, tested below).
     out = tmp_path / "x.csv"
     args = ["simulate", "--out", str(out), "--n", "20", "--p", "5", "--eta", "0.5",
             "--N1", "1", "--N2", "2", "--B", "50", *flags]
@@ -253,7 +256,7 @@ def test_simulate_rank_deficient_design_names_the_cause(tmp_path, capsys):
 
 def test_simulate_config_and_preset_conflict(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    write_config(ExperimentConfig(n=10, p=2, eta=0.5, N1=1, N2=4, B=50), str(cfg))
+    cfg.write_text("n = 10\np = 2\neta = 0.5\nN1 = 1\nN2 = 4\nB = 50\n")
     code = main(["simulate", "--config", str(cfg), "--preset", "setting1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -262,10 +265,7 @@ def test_simulate_config_and_preset_conflict(tmp_path, capsys):
 
 def test_simulate_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    write_config(
-        ExperimentConfig(n=15, p=3, eta=0.5, N1=2, N2=6, B=80, grid_size=5, seed=9),
-        str(cfg),
-    )
+    cfg.write_text("n = 15\np = 3\neta = 0.5\nN1 = 2\nN2 = 6\nB = 80\ngrid_size = 5\nseed = 9\n")
     out = tmp_path / "res.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
@@ -377,6 +377,42 @@ def test_seed_outside_64_bits_is_rejected(ci_files, tmp_path, capsys, seed):
     assert code == 2
     assert "seed must be a 64-bit nonnegative integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(ci_files, tmp_path, capsys):
+    # main builds its parser once per process, so an argparse error (exit 2)
+    # or a --help must leave nothing behind that a later call would see.
+    design, response = ci_files
+    out = str(tmp_path / "x.csv")
+    sim = ["simulate", "--out", out, "--n", "20", "--p", "4", "--eta", "0.5", "--N1", "1",
+           "--N2", "4", "--B", "50", "--grid-size", "3"]
+    calls = [
+        _ci_args(design, response, method="ridge_rb", rho=0.5, pilot_rho=2.0, B=50),
+        _ci_args(design, response, method="bogus"),
+        [*sim, "--bogus", "1"],
+        ["check", "--out", out],
+        ["ci", "--help"],
+        _ci_args(design, response, method="normal", B=50),
+        sim,
+    ]
+    cli._build_parser.cache_clear()
+    reused = [_run_main(argv, capsys) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_main(argv, capsys))
+    assert [code for code, _, _ in reused] == [0, 2, 2, 2, 0, 0, 0]
+    assert reused == fresh
 
 
 def test_check_rejects_unknown_suite():

@@ -27,7 +27,6 @@ from ridgeboot.harness import (
     run_check_suite,
     run_table1,
     seed_split,
-    write_config,
     write_report,
     write_results,
 )
@@ -78,7 +77,12 @@ def test_config_roundtrip(tmp_path):
         folds=4, cv_per_design=1, seed=987654321, threads=2,
     )
     path = tmp_path / "exp.cfg"
-    write_config(cfg, str(path))
+    path.write_text(
+        "n = 50\np = 20\neta = 0.3333333333333333\nN1 = 4\nN2 = 7\nB = 100\n"
+        "level = 0.95\nsigma = 0.125\nnoise_family = normal\nnoise_dof = 7.5\n"
+        "grid_size = 12\ngrid_min_factor = 0.0002\ngrid_max_factor = 50\n"
+        "folds = 4\ncv_per_design = 1\nseed = 987654321\nthreads = 2\n"
+    )
     assert read_config(str(path)) == cfg
 
 
@@ -129,6 +133,7 @@ def test_config_validation():
         dict(ok, noise_dof=float("nan")),
         dict(ok, noise_family="normal", noise_dof=float("nan")),  # a law that ignores dof
         dict(ok, grid_max_factor=1e308),  # the top penalty 1e308 * n overflows
+        dict(ok, eta=1e308),  # the spectrum 3^(-1e308) underflows to 0: singular
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -176,7 +181,7 @@ def test_run_table1_oracle_coverage_is_structural():
     result = run_table1(config)
     n2 = config.N2
     expected = (math.ceil(0.95 * n2) - math.ceil(0.05 * n2) + 1) / n2
-    assert result.by_method()["oracle"].coverage == pytest.approx(expected)
+    assert {m.method: m for m in result.methods}["oracle"].coverage == pytest.approx(expected)
     assert expected == pytest.approx(0.91)
 
 
@@ -202,7 +207,7 @@ def test_run_table1_shared_cv_plan_per_design():
     config = _small_config(N2=30, B=150, seed=5, cv_per_design=1)
     result = run_table1(config)
     assert result.skips == 0
-    oracle = result.by_method()["oracle"]
+    oracle = {m.method: m for m in result.methods}["oracle"]
     assert oracle.instances == 60
     expected = (math.ceil(0.95 * 30) - math.ceil(0.05 * 30) + 1) / 30
     assert oracle.coverage == pytest.approx(expected)
@@ -273,10 +278,10 @@ def test_every_response_failing_raises(monkeypatch):
 
 
 def test_preset_config_values():
-    cfg = preset_config("setting2", scale="desk", seed=11, threads=3)
+    cfg = preset_config("setting2", scale="desk")
     assert (cfg.n, cfg.p, cfg.eta) == (100, 95, 0.5)
     assert (cfg.N1, cfg.N2, cfg.B) == (20, 500, 500)
-    assert (cfg.seed, cfg.threads) == (11, 3)
+    assert (cfg.seed, cfg.threads) == (0, 1)
     full = preset_config("setting3", scale="full")
     assert (full.n, full.p, full.eta) == (100, 45, 1.0)
     assert (full.N1, full.N2, full.B) == (100, 1000, 1000)
@@ -429,7 +434,7 @@ def test_oracle_width_is_the_error_law_range():
     a = a(rho) the contrast weights of the rebuilt design."""
     config = ExperimentConfig(n=40, p=10, eta=0.5, N1=1, N2=2000, B=20,
                               grid_size=1, grid_min_factor=1.0, seed=21)
-    oracle = run_table1(config).by_method()["oracle"]
+    oracle = {m.method: m for m in run_table1(config).methods}["oracle"]
 
     gen = np.random.default_rng(seed_split(config.seed, (0,)))
     X = sample_design(config.n, config.p, config.eta, gen)

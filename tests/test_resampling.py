@@ -57,6 +57,17 @@ def test_pivot_interval_endpoints():
     assert (ci.method, ci.level, ci.lower, ci.upper) == ("ridge_rb", 0.9, -85.0, 5.0)
 
 
+def test_pivot_interval_reads_both_quantiles_from_one_sort():
+    """The same endpoints as two ``quantile`` calls: on tied draws, on B = 1,
+    and at levels where alpha * B is an integer (B = 100, 200, 1000 at 0.9)."""
+    rng = np.random.default_rng(5)
+    for B, level in itertools.product((1, 2, 7, 100, 200, 1000), (0.5, 0.8, 0.9, 0.95, 0.99)):
+        for draws in (rng.integers(-3, 4, size=B).astype(np.float64), rng.standard_normal(B)):
+            ci = pivot_interval("ridge_rb", draws, 0.25, level)
+            assert ci.lower == 0.25 - quantile(draws, (1.0 + level) / 2.0)
+            assert ci.upper == 0.25 - quantile(draws, (1.0 - level) / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # plug-in draws
 

@@ -222,20 +222,31 @@ def test_cv_with_factorization_builds_none(monkeypatch):
 
 @pytest.mark.xfail(
     strict=False,
-    reason="prediction-optimal penalties overfit the pilot fit in the "
-    "near-singular settings; the 0.8 sigma floor is not attained there",
+    reason="under the pilot rule as specified (5 x the CV penalty), the pilot residual SD "
+    "lies in [0.8, 1.3] sigma in 72/49/92/67 of 100 designs at (p, eta) = (45, 0.5), "
+    "(95, 0.5), (45, 1.0), (95, 1.0); the band is missed from below (24 below at (45, 0.5)) "
+    "and from above (26 above at (95, 0.5), 25 at (95, 1.0), median SD 1.10 sigma there)",
 )
 def test_pilot_residual_sd_guard():
     sigma = 0.1
     spec = NoiseSpec(family="scaled_t", sigma=sigma, dof=5.0)
+    tally = {}
     for p, eta in ((45, 0.5), (95, 0.5), (45, 1.0), (95, 1.0)):
-        hits = 0
+        sds = []
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             X = sample_design(100, p, eta, rng)
             beta = make_beta(p)
             data = Dataset(X, X @ beta + sample_noise(spec, 100, rng))
             plan = cv_select(data, rng=rng)
-            sd = data.fact.residuals(data.Y, plan.pilot_rho).std()
-            hits += 0.8 * sigma <= sd <= 1.3 * sigma
-        assert hits >= 90, (p, eta, hits)
+            sds.append(data.fact.residuals(data.Y, plan.pilot_rho).std())
+        sds = np.array(sds)
+        lo, hi = 0.8 * sigma, 1.3 * sigma
+        tally[(p, eta)] = {"hits": int(np.sum((lo <= sds) & (sds <= hi))),
+                           "below": int(np.sum(sds < lo)), "above": int(np.sum(sds > hi)),
+                           "median": float(np.median(sds)) / sigma}
+    detail = "; ".join(f"(p, eta) = {shape}: {t['hits']} hits, {t['below']} below, "
+                       f"{t['above']} above, median SD {t['median']:.2f} sigma"
+                       for shape, t in tally.items())
+    assert all(t["hits"] >= 90 for t in tally.values()), (
+        f"pilot SD in [0.8, 1.3] sigma in fewer than 90 of 100 designs: {detail}")
