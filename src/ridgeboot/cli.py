@@ -17,9 +17,13 @@ from typing import Optional, Sequence
 
 # One BLAS thread unless the user set one, before numpy loads: threaded BLAS
 # splits products and the SVD by thread, so with the default thread count a
-# results file would change with the machine's core count.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# results file would change with the machine's core count.  Once numpy has
+# loaded (a library caller imported it first) the variables no longer change
+# its BLAS, so they are left as they are: the results header and the check
+# suites' default worker count read them.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from typing import Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -107,6 +107,70 @@ def check_seed(seed) -> int:
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < (1 << 64)):
         raise ConfigError("seed must be a 64-bit nonnegative integer")
     return int(seed)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the OS
+    has one (``taskset`` narrows it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _default_workers() -> int:
+    """One worker per usable CPU that the BLAS threads leave free.
+
+    Each worker runs as many BLAS threads as this process, so the BLAS thread
+    count, ``OPENBLAS_NUM_THREADS`` or else ``OMP_NUM_THREADS`` (one per CPU
+    where neither is set), divides the CPUs.  Two processes of two BLAS
+    threads each on two CPUs ran ``rate_mspe`` 6x slower than one alone."""
+    cpus = _usable_cpus()
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) >= 1:
+            blas = int(value)
+            break
+    return max(1, cpus // blas)
+
+
+def _ordered_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, run on up to ``workers`` forked processes.
+
+    The pool never has more workers than items or than CPUs this process may
+    run on, and with one worker none is started.  Workers take one item at a
+    time, and results come back in item order, so a map over independently
+    seeded units returns the same list for any worker count.  An exception
+    raised for an item is raised here, the first in item order, as the serial
+    loop would raise it, and no worker outlives the call.
+
+    ``fn`` and each item are pickled, so ``fn`` is a private module-level
+    function or a ``partial`` of one: a profiler that rebinds public functions
+    to closures would make a public one unpicklable.  Fork copies the parent
+    without re-importing numpy, but is unsafe while another thread of the
+    parent holds a lock, so library callers inside threaded programs pass
+    ``workers=1``.  Where fork is not available the map runs serially.
+    """
+    items = list(items)
+    workers = min(workers, len(items), _usable_cpus())
+    if workers > 1:
+        # Imported here, so runs that stay serial do not pay for the imports.
+        import multiprocessing
+        import pickle
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # A task that fails to pickle hangs the pool (CPython 3.11) instead
+            # of raising, so the tasks are pickled once here first.
+            pickle.dumps((fn, items))
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [pool.submit(fn, item) for item in items]
+                return [future.result() for future in futures]
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -265,17 +329,14 @@ def _design_trial(config: ExperimentConfig, design_index: int) -> dict:
 def run_table1(config: ExperimentConfig) -> Table1Result:
     """Run the full coverage experiment described by ``config``.
 
-    Designs run independently (optionally on a thread pool); partial
-    results are reduced in design-index order, so output is identical
-    for any thread count.  Responses that fail numerically are skipped
-    and counted; an experiment where every response fails raises.
+    Designs run independently, on up to ``config.threads`` worker processes
+    (``_ordered_map``); partial results are reduced in design-index order,
+    so output is identical for any worker count.  Responses that fail
+    numerically are skipped and counted; an experiment where every response
+    fails raises.  Library callers inside threaded programs keep
+    ``threads = 1``, since the workers are forked.
     """
-    indices = range(config.N1)
-    if config.threads == 1:
-        partials = [_design_trial(config, d) for d in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            partials = list(pool.map(lambda d: _design_trial(config, d), indices))
+    partials = _ordered_map(partial(_design_trial, config), range(config.N1), config.threads)
 
     cover = {m: 0 for m in METHODS}
     width_sum = {m: 0.0 for m in METHODS}
@@ -414,8 +475,10 @@ def preset_config(name: str, scale: str = "desk") -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # Check suites: canned verification runs behind `ridgeboot check`.  A suite is
-# a table of default knobs and a generator of (CheckReport, seed) pairs; every
-# pair becomes one report row.
+# a table of default knobs and a function of (seed, knobs, workers) that gives
+# (CheckReport, seed) pairs; every pair becomes one report row.  A suite whose
+# cases seed independently runs them through ``_ordered_map``, one private
+# module-level function per case.
 
 _CASE_COLUMNS = ("n", "p", "eta", "gamma", "theta")
 REPORT_COLUMNS = ("name", "lhs", "rhs", "margin", "holds", *_CASE_COLUMNS, "seed")
@@ -450,31 +513,36 @@ def write_report(rows: Sequence[Mapping], path: str) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _sweep_cases(seed: int, count: int):
-    """Randomized small-n problem instances shared by the bound suites."""
-    if count < 0:
+def _sweep_indices(knobs: dict) -> range:
+    """The case indices 0 .. sweep - 1 of the bound suites."""
+    if knobs["sweep"] < 0:
         raise ConfigError("sweep must be >= 0")
-    for k in range(count):
-        child = seed_split(seed, (101, k))
-        gen = np.random.default_rng(child)
-        n = int(gen.integers(10, 41))
-        p = int(gen.integers(2, int(math.ceil(1.2 * n)) + 1))
-        eta = float(gen.uniform(0.0, 1.5))
-        sigma = float(gen.uniform(0.05, 1.0))
-        family = ("scaled_t", "normal", "two_point")[int(gen.integers(0, 3))]
-        dof = float(gen.uniform(4.5, 12.0)) if family == "scaled_t" else 5.0
-        noise = NoiseSpec(family=family, sigma=sigma, dof=dof)
-        X = sample_design(n, p, eta, gen)
-        beta = make_beta(p) * float(gen.uniform(0.0, 2.0))
-        eps = sample_noise(noise, n, gen)
-        data = Dataset(X, X @ beta + eps)
-        rho = float(n) * 10.0 ** float(gen.uniform(-3.0, 1.0))
-        pilot = float(n) * 10.0 ** float(gen.uniform(-3.0, 1.0))
-        if gen.random() < 0.5:
-            c = X[int(gen.integers(0, n))].copy()
-        else:
-            c = gen.standard_normal(p)
-        yield child, data, beta, noise, c, rho, pilot, gen
+    return range(knobs["sweep"])
+
+
+def _sweep_case(seed: int, k: int) -> tuple:
+    """Randomized small-n problem instance ``k`` of the bound suites, drawn from
+    ``seed_split(seed, (101, k))`` alone, so a worker process can build it."""
+    child = seed_split(seed, (101, k))
+    gen = np.random.default_rng(child)
+    n = int(gen.integers(10, 41))
+    p = int(gen.integers(2, int(math.ceil(1.2 * n)) + 1))
+    eta = float(gen.uniform(0.0, 1.5))
+    sigma = float(gen.uniform(0.05, 1.0))
+    family = ("scaled_t", "normal", "two_point")[int(gen.integers(0, 3))]
+    dof = float(gen.uniform(4.5, 12.0)) if family == "scaled_t" else 5.0
+    noise = NoiseSpec(family=family, sigma=sigma, dof=dof)
+    X = sample_design(n, p, eta, gen)
+    beta = make_beta(p) * float(gen.uniform(0.0, 2.0))
+    eps = sample_noise(noise, n, gen)
+    data = Dataset(X, X @ beta + eps)
+    rho = float(n) * 10.0 ** float(gen.uniform(-3.0, 1.0))
+    pilot = float(n) * 10.0 ** float(gen.uniform(-3.0, 1.0))
+    if gen.random() < 0.5:
+        c = X[int(gen.integers(0, n))].copy()
+    else:
+        c = gen.standard_normal(p)
+    return child, data, beta, noise, c, rho, pilot, gen
 
 
 def _setting_case(index: int, seed: int = 1):
@@ -500,56 +568,80 @@ def _geometric(lo: int, hi: int, factor: int) -> list:
     return grid
 
 
-def _suite_theorem1(seed: int, knobs: dict):
+def _theorem1_case(seed: int, knobs: dict, k: int) -> tuple:
+    child, data, beta, noise, c, rho, pilot, gen = _sweep_case(seed, k)
+    return check_theorem1(data, beta, noise, c, rho, pilot, gen,
+                          m_boot=knobs["m_boot"], m_ref=knobs["m_ref"]), child
+
+
+def _theorem1_setting(m: int, index: int) -> tuple:
+    name, data, beta, noise, c, rho, pilot, gen = _setting_case(index, seed=1)
+    rep = check_theorem1(data, beta, noise, c, rho, pilot, gen, m_boot=m, m_ref=m)
+    return replace(rep, name=f"theorem1[{name}]"), 1
+
+
+def _suite_theorem1(seed: int, knobs: dict, workers: int) -> list:
     if knobs["include_settings"] not in (0, 1):
         raise ConfigError("include_settings must be 0 or 1")
-    for child, data, beta, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
-        yield check_theorem1(data, beta, noise, c, rho, pilot, gen,
-                             m_boot=knobs["m_boot"], m_ref=knobs["m_ref"]), child
+    rows = _ordered_map(partial(_theorem1_case, seed, knobs), _sweep_indices(knobs), workers)
     if knobs["include_settings"]:
-        for index in (1, 2, 3, 4):
-            name, data, beta, noise, c, rho, pilot, gen = _setting_case(index, seed=1)
-            rep = check_theorem1(data, beta, noise, c, rho, pilot, gen,
-                                 m_boot=knobs["settings_m"], m_ref=knobs["settings_m"])
-            yield replace(rep, name=f"theorem1[{name}]"), 1
+        rows += _ordered_map(partial(_theorem1_setting, knobs["settings_m"]), (1, 2, 3, 4),
+                             workers)
+    return rows
 
 
-def _suite_mspe_link(seed: int, knobs: dict):
-    for child, data, beta, noise, c, rho, pilot, gen in _sweep_cases(seed, knobs["sweep"]):
-        estimators = ("ridge", "ols", "perfect") if data.p < data.n else ("ridge", "perfect")
-        for estimator in estimators:
-            yield check_mspe_link(data, beta, noise, estimator, knobs["reps"], gen,
-                                  varrho=pilot, m_ref=knobs["m_ref"]), child
+def _mspe_link_case(seed: int, knobs: dict, k: int) -> list:
+    child, data, beta, noise, c, rho, pilot, gen = _sweep_case(seed, k)
+    estimators = ("ridge", "ols", "perfect") if data.p < data.n else ("ridge", "perfect")
+    return [(check_mspe_link(data, beta, noise, estimator, knobs["reps"], gen,
+                             varrho=pilot, m_ref=knobs["m_ref"]), child)
+            for estimator in estimators]
 
 
-def _suite_rates(seed: int, knobs: dict):
+def _suite_mspe_link(seed: int, knobs: dict, workers: int) -> list:
+    cases = _ordered_map(partial(_mspe_link_case, seed, knobs), _sweep_indices(knobs), workers)
+    return [row for case in cases for row in case]
+
+
+def _rate_mspe_row(seed: int, trials: int, grid: list, nu: float) -> tuple:
+    gen = np.random.default_rng(seed_split(seed, (201, int(nu * 10))))
+    est = rate_mspe(nu, grid, trials, gen)
+    return est.report("rate_mspe", eta=nu, theta=theta_rule(nu)), seed
+
+
+_RATE_D2_NOISES = (
+    ("normal", NoiseSpec(family="normal", sigma=1.0)),
+    ("t5", NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)),
+)
+
+
+def _rate_d2_row(seed: int, knobs: dict, grid: list, pos: int) -> tuple:
+    label, noise = _RATE_D2_NOISES[pos]
+    gen = np.random.default_rng(seed_split(seed, (202, pos)))
+    est = rate_d2_empirical(noise, grid, knobs["d2_trials"], gen, m_ref=knobs["d2_m_ref"])
+    return est.report(f"rate_d2_{label}"), seed
+
+
+def _suite_rates(seed: int, knobs: dict, workers: int) -> list:
     grid = _geometric(64, knobs["n_max"], 2)
-    for nu in (0.3, 1.0, 2.0):
-        gen = np.random.default_rng(seed_split(seed, (201, int(nu * 10))))
-        est = rate_mspe(nu, grid, knobs["mspe_trials"], gen)
-        yield est.report("rate_mspe", eta=nu, theta=theta_rule(nu)), seed
+    rows = _ordered_map(partial(_rate_mspe_row, seed, knobs["mspe_trials"], grid),
+                        (0.3, 1.0, 2.0), workers)
     # The default d2 grid stops at d2_m_ref / 10, so the reference
     # sample's own error does not flatten the last decade of the fit.
     d2_grid = _geometric(100, knobs["d2_n_max"], 10)
-    for pos, (label, noise) in enumerate(
-        (
-            ("normal", NoiseSpec(family="normal", sigma=1.0)),
-            ("t5", NoiseSpec(family="scaled_t", sigma=0.1, dof=5.0)),
-        )
-    ):
-        gen = np.random.default_rng(seed_split(seed, (202, pos)))
-        est = rate_d2_empirical(noise, d2_grid, knobs["d2_trials"], gen, m_ref=knobs["d2_m_ref"])
-        yield est.report(f"rate_d2_{label}"), seed
+    rows += _ordered_map(partial(_rate_d2_row, seed, knobs, d2_grid),
+                         range(len(_RATE_D2_NOISES)), workers)
+    return rows
 
 
-def _suite_design_events(seed: int, knobs: dict):
+def _suite_design_events(seed: int, knobs: dict, workers: int):
     grid = _geometric(knobs["n_min"], knobs["n_max"], 2)
     gen = np.random.default_rng(seed_split(seed, (301,)))
     for rep in check_design_events(1.0, 0.6, theta_rule(1.0), grid, knobs["trials"], gen):
         yield rep, seed
 
 
-def _suite_theorem4(seed: int, knobs: dict):
+def _suite_theorem4(seed: int, knobs: dict, workers: int):
     grid = _geometric(knobs["n_min"], knobs["n_max"], 2)
     gen = np.random.default_rng(seed_split(seed, (401,)))
     eta, gamma, theta = 1.0, 0.55, theta_rule(1.0)
@@ -558,7 +650,7 @@ def _suite_theorem4(seed: int, knobs: dict):
         yield rep, seed
 
 
-def _suite_appendix(seed: int, knobs: dict):
+def _suite_appendix(seed: int, knobs: dict, workers: int):
     gen = np.random.default_rng(seed_split(seed, (501,)))
     reports = check_wishart(knobs["wishart_mc"], gen)
     reports += check_signed_svd(knobs["svd_matrices"], gen)
@@ -585,11 +677,22 @@ _SUITES = {
 CHECK_SUITES = tuple(_SUITES)
 
 
-def run_check_suite(suite: str, seed: int, overrides: Optional[Mapping] = None) -> list:
-    """Run one named verification suite; returns report rows for the CSV."""
+def run_check_suite(suite: str, seed: int, overrides: Optional[Mapping] = None, *,
+                    workers: Optional[int] = None) -> list:
+    """Run one named verification suite; returns report rows for the CSV.
+
+    ``theorem1``, ``mspe-link`` and ``rates`` run their independently seeded
+    cases on up to ``workers`` forked processes (``_ordered_map``), by
+    default one per usable CPU that the BLAS threads leave free
+    (``_default_workers``); the rows are the same for any count.  Library
+    callers inside threaded programs pass ``workers=1``.
+    """
     if suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
     runner, defaults = _SUITES[suite]
     kinds = {key: type(value) for key, value in defaults.items()}
     knobs = {**defaults, **_typed(overrides or {}, kinds, "override")}
-    return [_report_row(rep, row_seed) for rep, row_seed in runner(check_seed(seed), knobs)]
+    if workers is None:
+        workers = _default_workers()
+    return [_report_row(rep, row_seed)
+            for rep, row_seed in runner(check_seed(seed), knobs, workers)]

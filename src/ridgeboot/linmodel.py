@@ -44,8 +44,10 @@ def _as_vector(v: np.ndarray, length: int | None, name: str) -> np.ndarray:
 class Dataset:
     """Design/response pair.
 
-    ``fact``, the SVD of X, is built on first use without a lock: threads that
-    share one dataset may each build it, so build it before they start."""
+    ``fact``, the SVD of X, is built on first use without a lock.  The package
+    runs its designs and check cases in worker processes, which share no
+    dataset; a caller whose own threads share one may see each build it, so
+    it builds it before they start."""
 
     X: np.ndarray
     Y: np.ndarray

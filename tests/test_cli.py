@@ -295,6 +295,23 @@ def test_simulate_pins_blas_threads(tmp_path):
     assert b" blas_threads=1\n" in outputs[0]
 
 
+@pytest.mark.parametrize("numpy_first", (False, True))
+def test_cli_pins_blas_only_before_numpy_loads(numpy_first):
+    """Once numpy has loaded, the BLAS variables no longer change its threads,
+    so the CLI leaves them unset rather than have the results header and the
+    check suites' default worker count read a thread count BLAS does not run."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    code = ("import os\n" + ("import numpy\n" if numpy_first else "") + "import ridgeboot.cli\n"
+            f"print([os.environ.get(var) for var in {blas_vars!r}])")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    want = [None] * 3 if numpy_first else ["1"] * 3
+    assert child.stdout.strip() == repr(want)
+
+
 def test_simulate_unwritable_out(tmp_path, capsys):
     args = ["simulate", "--out", "/nonexistent/dir/res.csv", "--n", "10", "--p", "2",
             "--eta", "0.5", "--N1", "1", "--N2", "4", "--B", "50", "--grid-size", "4"]

@@ -186,7 +186,8 @@ def test_theorem1_bootstrap_memory_is_chunked():
 
 def test_theorem1_settings_factorize_once(monkeypatch):
     """The settings cases' leverage, CV and check share their dataset's SVD:
-    one per case, where building another inside the check would make two."""
+    one per case, where building another inside the check would make two.
+    The count is taken in this process, so the suite runs without workers."""
     shapes = []
     init = DesignFactorization.__init__
 
@@ -195,7 +196,7 @@ def test_theorem1_settings_factorize_once(monkeypatch):
         init(self, X)
 
     monkeypatch.setattr(DesignFactorization, "__init__", counting_init)
-    rows = run_check_suite("theorem1", 0, overrides={"sweep": 0, "settings_m": 2000})
+    rows = run_check_suite("theorem1", 0, overrides={"sweep": 0, "settings_m": 2000}, workers=1)
     assert [row["name"] for row in rows] == [f"theorem1[setting{i}]" for i in (1, 2, 3, 4)]
     assert shapes == [(100, 45), (100, 95), (100, 45), (100, 95)]
 
