@@ -112,6 +112,9 @@ def _parse_contrast(spec: str, X: np.ndarray) -> np.ndarray:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     seed = check_seed(args.seed)
+    for flag, value in (("--rho", args.rho), ("--pilot-rho", args.pilot_rho)):
+        if value is not None and not (np.isfinite(value) and value >= 0):
+            raise InputError(f"{flag} must be a finite nonnegative real, got {value}")
     X = read_matrix_csv(args.design)
     Y = read_vector_csv(args.response)
     data = Dataset(X, Y)
@@ -160,7 +163,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     label = args.preset or "custom"
 
     result = run_table1(config)
-    write_results([(label, result)], args.out)
+    write_results(label, result, args.out)
     total = result.methods[0].instances
     print(f"{label}: {total} instances, {result.skips} skips -> {args.out}")
     for m in result.methods:

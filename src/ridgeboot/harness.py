@@ -117,21 +117,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _blas_threads() -> Optional[int]:
+    """The BLAS thread count that ``OPENBLAS_NUM_THREADS``, or else
+    ``OMP_NUM_THREADS`` (OpenBLAS honours both), sets; None if neither does."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) >= 1:
+            return int(value)
+    return None
+
+
 def _default_workers() -> int:
     """One worker per usable CPU that the BLAS threads leave free.
 
     Each worker runs as many BLAS threads as this process, so the BLAS thread
-    count, ``OPENBLAS_NUM_THREADS`` or else ``OMP_NUM_THREADS`` (one per CPU
-    where neither is set), divides the CPUs.  Two processes of two BLAS
-    threads each on two CPUs ran ``rate_mspe`` 6x slower than one alone."""
+    count (``_blas_threads``, one per CPU where unset) divides the CPUs.  Two
+    processes of two BLAS threads each on two CPUs ran ``rate_mspe`` 6x
+    slower than one alone."""
     cpus = _usable_cpus()
-    blas = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) >= 1:
-            blas = int(value)
-            break
-    return max(1, cpus // blas)
+    return max(1, cpus // (_blas_threads() or cpus))
 
 
 def _ordered_map(fn, items, workers: int) -> list:
@@ -419,32 +423,30 @@ def read_config(path: str) -> ExperimentConfig:
 def _config_comment(config: ExperimentConfig) -> str:
     """``# version=... n=... p=... blas_threads=...``: the package version, every
     config field but ``threads``, which results do not depend on, and the BLAS
-    thread count, which they do (``OPENBLAS_NUM_THREADS``, which the CLI sets
-    to 1 before numpy loads unless the user set it; ``default`` if unset)."""
+    thread count, which they do (``_blas_threads``, which the CLI sets to 1
+    before numpy loads unless the user set it; ``default`` if unset)."""
     cells = [f"version={__version__}"]
     cells += [f"{name}={kind(getattr(config, name))}" for name, kind in FIELD_TYPES.items()
               if name != "threads"]
-    cells.append(f"blas_threads={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}")
+    cells.append(f"blas_threads={_blas_threads() or 'default'}")
     return "# " + " ".join(cells) + "\n"
 
 
-def write_results(results: Sequence, path: str) -> None:
-    """Write experiment results as CSV.
+def write_results(label: str, result: Table1Result, path: str) -> None:
+    """Write one experiment's results as CSV, one row per method under ``label``.
 
-    ``results`` is a sequence of (setting_label, Table1Result) pairs.  One
-    comment line per distinct configuration records it with the package
-    version; no timestamps and no worker-thread count, so reruns with the same
-    BLAS thread count are byte-identical.
+    A comment line records the configuration with the package version; no
+    timestamps and no worker count, so reruns with the same BLAS thread count
+    are byte-identical.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(dict.fromkeys(_config_comment(result.config) for _, result in results))
+        fh.write(_config_comment(result.config))
         fh.write("setting,method,coverage,width,instances,skips,seed\n")
-        for label, result in results:
-            for m in result.methods:
-                fh.write(
-                    f"{label},{m.method},{m.coverage:.17g},{m.width:.17g},"
-                    f"{m.instances},{result.skips},{result.config.seed}\n"
-                )
+        for m in result.methods:
+            fh.write(
+                f"{label},{m.method},{m.coverage:.17g},{m.width:.17g},"
+                f"{m.instances},{result.skips},{result.config.seed}\n"
+            )
 
 
 _SETTINGS = {
@@ -545,11 +547,11 @@ def _sweep_case(seed: int, k: int) -> tuple:
     return child, data, beta, noise, c, rho, pilot, gen
 
 
-def _setting_case(index: int, seed: int = 1):
-    """One seeded simulation-study design with CV-selected penalties."""
+def _setting_case(index: int):
+    """Preset ``setting<index>``'s design at seed 1, with CV-selected penalties."""
     name = f"setting{index}"
     config = preset_config(name)
-    gen = np.random.default_rng(seed_split(seed, (index,)))
+    gen = np.random.default_rng(seed_split(1, (index,)))
     noise = config.noise_spec()
     beta = make_beta(config.p)
     data = generate_dataset(config.n, config.eta, beta, noise, gen)
@@ -575,7 +577,7 @@ def _theorem1_case(seed: int, knobs: dict, k: int) -> tuple:
 
 
 def _theorem1_setting(m: int, index: int) -> tuple:
-    name, data, beta, noise, c, rho, pilot, gen = _setting_case(index, seed=1)
+    name, data, beta, noise, c, rho, pilot, gen = _setting_case(index)
     rep = check_theorem1(data, beta, noise, c, rho, pilot, gen, m_boot=m, m_ref=m)
     return replace(rep, name=f"theorem1[{name}]"), 1
 

@@ -10,7 +10,8 @@ rho = n^(1-gamma) is converted by ``exponent_to_penalty``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class Dataset:
 
     X: np.ndarray
     Y: np.ndarray
-    _svd: DesignFactorization | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         X = _as_matrix(self.X)
@@ -67,18 +67,16 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
+    @cached_property
     def fact(self) -> DesignFactorization:
         """Thin SVD of X, shared across every penalty evaluated on this design."""
-        if self._svd is None:
-            object.__setattr__(self, "_svd", DesignFactorization(self.X))
-        return self._svd
+        return DesignFactorization(self.X)
 
     def with_response(self, Y: np.ndarray) -> Dataset:
         """The same design with response Y, sharing this dataset's
         factorization (built here if it is not yet)."""
         other = Dataset(self.X, Y)
-        object.__setattr__(other, "_svd", self.fact)
+        other.__dict__["fact"] = self.fact
         return other
 
 

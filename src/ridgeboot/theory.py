@@ -41,12 +41,6 @@ __all__ = [
     "lm_tail_check",
 ]
 
-# Monte Carlo sample sizes used when the caller does not override them.
-# Large enough that sampling noise sits well below the slack applied to
-# each inequality, small enough for single-core runs.
-DEFAULT_M_BOOT = 20_000
-DEFAULT_M_REF = 100_000
-
 # Relative and absolute slack applied when asserting lhs <= rhs from
 # finite samples.  The relative part absorbs constant-level looseness;
 # the absolute part covers pure Monte Carlo jitter when both sides are
@@ -265,8 +259,8 @@ def check_theorem1(
     rho: float,
     pilot_rho: float,
     rng: np.random.Generator,
-    m_boot: int = DEFAULT_M_BOOT,
-    m_ref: int = DEFAULT_M_REF,
+    m_boot: int,
+    m_ref: int,
 ) -> CheckReport:
     """Compare the bootstrap law of a contrast error against its transfer bound.
 
@@ -310,8 +304,8 @@ def check_mspe_link(
     estimator: str,
     reps: int,
     rng: np.random.Generator,
+    m_ref: int,
     varrho: Optional[float] = None,
-    m_ref: int = DEFAULT_M_REF,
 ) -> CheckReport:
     """Check that residual-law error is controlled by prediction error.
 
@@ -415,7 +409,7 @@ def rate_d2_empirical(
     n_grid: Sequence[int],
     trials: int,
     rng: np.random.Generator,
-    m_ref: int = DEFAULT_M_REF,
+    m_ref: int,
 ) -> RateEstimate:
     """Measure the decay of E d2^2(F_n, F) against the log(n) n^(-1/2) envelope.
 

@@ -99,13 +99,13 @@ def _held_out_residuals(
 
 def cv_select(
     data: Dataset,
+    rng: np.random.Generator,
     grid: np.ndarray | None = None,
     folds: int = DEFAULT_FOLDS,
-    rng: np.random.Generator | None = None,
 ) -> PenaltyPlan:
     """K-fold cross-validated ridge penalty selection.
 
-    Rows are permuted once (seeded) and cut into `folds` contiguous blocks;
+    Rows are permuted once by ``rng`` and cut into `folds` contiguous blocks;
     the last block absorbs the remainder.  For every grid value r the score is
     the mean over folds of ||Y_hold - X_hold beta_r(train)||^2 / n_hold, and
     r_hat is the argmin with ties broken toward the smaller penalty.
@@ -121,8 +121,6 @@ def cv_select(
     len(s), else the (k, k) system of the push-through identity
     (I - U_h D U_h^T)^{-1} = I + U_h D (I_k - U_h^T U_h D)^{-1} U_h^T.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if grid is None:
         grid = default_grid(data.n)
     grid = np.asarray(grid, dtype=np.float64)

@@ -281,7 +281,7 @@ def test_criterion_10_determinism(tmp_path):
     for run, threads in enumerate((1, 1, 8)):
         result = run_table1(ExperimentConfig(**config, threads=threads))
         path = tmp_path / f"table_{run}.csv"
-        write_results([("reduced", result)], str(path))
+        write_results("reduced", result, str(path))
         blobs.append(path.read_bytes())
     if not (blobs[0] == blobs[1] == blobs[2]):
         mismatches.append("experiment table")

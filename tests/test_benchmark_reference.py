@@ -24,7 +24,7 @@ def _load(name):
 
 
 # Only the workload and tracer modules are loaded: importing perfbench/run.py
-# would pin the BLAS thread count for every test after this one.
+# would overwrite the BLAS thread count the caller set for the session.
 workloads = _load("workloads")
 tracing = _load("tracing")
 

@@ -97,6 +97,14 @@ def test_ci_input_errors(ci_files, tmp_path, capsys):
         for method in ("normal", "ridge_rb"):
             assert main(_ci_args(design, response, method=method, rho=rho, pilot_rho=1.0)) == 2
             assert "rho must be a finite nonnegative real" in capsys.readouterr().err
+    # Each penalty flag is refused by name, before the CSVs are read: a missing
+    # design file would otherwise exit 4.
+    missing = str(tmp_path / "missing.csv")
+    for flag, bad in (("rho", "nan"), ("rho", "-1"), ("pilot_rho", "nan"), ("pilot_rho", "-0.5")):
+        penalties = {"rho": 1.0, "pilot_rho": 1.0, flag: bad}
+        assert main(_ci_args(missing, response, **penalties)) == 2
+        err = capsys.readouterr().err
+        assert f"--{flag.replace('_', '-')} must be a finite nonnegative real, got {float(bad)}" in err
 
 
 @pytest.mark.parametrize("method, code", [("ridge_rb", 0), ("normal", 2), ("ols_rb", 2)])

@@ -2,7 +2,6 @@
 
 import ast
 import math
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -190,8 +189,8 @@ def test_run_table1_thread_count_does_not_change_output(tmp_path):
     res4 = run_table1(_small_config(threads=4))
     p1 = tmp_path / "t1.csv"
     p4 = tmp_path / "t4.csv"
-    write_results([("s", res1)], str(p1))
-    write_results([("s", res4)], str(p4))
+    write_results("s", res1, str(p1))
+    write_results("s", res4, str(p4))
     assert p1.read_bytes() == p4.read_bytes()
 
 
@@ -294,14 +293,13 @@ def test_preset_config_values():
 def test_write_results_format(tmp_path):
     result = run_table1(_small_config(N2=20))
     path = tmp_path / "out.csv"
-    write_results([("setting1", result), ("again", result)], str(path))
+    write_results("setting1", result, str(path))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "setting,method,coverage,width,instances,skips,seed"
     rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == 8
-    assert [r[0] for r in rows[:4]] == ["setting1"] * 4
-    assert [r[1] for r in rows[:4]] == list(METHODS)
+    assert [r[0] for r in rows] == ["setting1"] * 4
+    assert [r[1] for r in rows] == list(METHODS)
     for r in rows:
         assert 0.0 <= float(r[2]) <= 1.0
         assert float(r[3]) >= 0.0
@@ -309,7 +307,7 @@ def test_write_results_format(tmp_path):
         assert int(r[6]) == 3
 
 
-def test_results_header_records_config(tmp_path):
+def test_results_header_records_config(tmp_path, monkeypatch):
     cfg = ExperimentConfig(
         n=50, p=20, eta=1.0 / 3.0, N1=4, N2=7, B=100,
         level=0.95, sigma=0.125, noise_family="normal", noise_dof=7.5,
@@ -318,15 +316,24 @@ def test_results_header_records_config(tmp_path):
     )
     methods = tuple(MethodResult(method=m, coverage=0.5, width=1.0, instances=2) for m in METHODS)
     path = tmp_path / "out.csv"
-    write_results([("custom", Table1Result(methods=methods, skips=0, config=cfg))], str(path))
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("# ")
-    values = dict(cell.split("=", 1) for cell in header[2:].split())
-    assert values.pop("version") == ridgeboot.__version__
-    assert values.pop("blas_threads") == os.environ.get("OPENBLAS_NUM_THREADS", "default")
-    assert "threads" not in values  # results do not depend on it
-    parsed = ExperimentConfig(**{key: FIELD_TYPES[key](v) for key, v in values.items()})
-    assert parsed == replace(cfg, threads=1)
+    # OpenBLAS honours OMP_NUM_THREADS when OPENBLAS_NUM_THREADS is unset.
+    for blas, recorded in (({"OPENBLAS_NUM_THREADS": "1"}, "1"),
+                           ({"OMP_NUM_THREADS": "1"}, "1"),
+                           ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "2"),
+                           ({}, "default")):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in blas.items():
+            monkeypatch.setenv(var, value)
+        write_results("custom", Table1Result(methods=methods, skips=0, config=cfg), str(path))
+        header = path.read_text().splitlines()[0]
+        assert header.startswith("# ")
+        values = dict(cell.split("=", 1) for cell in header[2:].split())
+        assert values.pop("version") == ridgeboot.__version__
+        assert values.pop("blas_threads") == recorded
+        assert "threads" not in values  # results do not depend on it
+        parsed = ExperimentConfig(**{key: FIELD_TYPES[key](v) for key, v in values.items()})
+        assert parsed == replace(cfg, threads=1)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_theorem1_rejects_empty_samples_before_any_draw(check, knob, value):
 def test_theorem1_bootstrap_memory_is_chunked():
     # Setting 1 (n = 100) at 400,000 bootstrap draws: a single (m_boot, n)
     # index matrix and its gathered atoms would take 610 MiB.
-    _, data, beta, noise, c, rho, pilot, gen = _setting_case(1, seed=1)
+    _, data, beta, noise, c, rho, pilot, gen = _setting_case(1)
     tracemalloc.start()
     try:
         check_theorem1(data, beta, noise, c, rho, pilot, gen, m_boot=400_000, m_ref=1_000)
@@ -241,8 +241,10 @@ def test_checks_refuse_bad_ground_truth_before_any_draw():
     state = rng.bit_generator.state
     calls = (
         lambda beta, noise: check_theorem1(data, beta, noise, np.ones(4), rho=1.0,
-                                           pilot_rho=1.0, rng=rng),
-        lambda beta, noise: check_mspe_link(data, beta, noise, "ridge", reps=2, rng=rng),
+                                           pilot_rho=1.0, rng=rng, m_boot=20_000,
+                                           m_ref=100_000),
+        lambda beta, noise: check_mspe_link(data, beta, noise, "ridge", reps=2, rng=rng,
+                                            m_ref=100_000),
     )
     for call in calls:
         for bad in (np.ones(3), np.ones((4, 1)), np.r_[np.inf, np.ones(3)]):
@@ -307,12 +309,12 @@ def test_mspe_link_ols_needs_tall_design():
 def test_mspe_link_validation():
     data, beta, noise, rng = _link_dataset(25)
     with pytest.raises(InputError):
-        check_mspe_link(data, beta, noise, "bogus", reps=2, rng=rng)
+        check_mspe_link(data, beta, noise, "bogus", reps=2, rng=rng, m_ref=100_000)
     with pytest.raises(InputError):
-        check_mspe_link(data, beta, noise, "ridge", reps=0, rng=rng, varrho=1.0)
+        check_mspe_link(data, beta, noise, "ridge", reps=0, rng=rng, varrho=1.0, m_ref=100_000)
     state = rng.bit_generator.state
     with pytest.raises(InputError, match="needs its pilot penalty varrho"):
-        check_mspe_link(data, beta, noise, "ridge", reps=2, rng=rng)
+        check_mspe_link(data, beta, noise, "ridge", reps=2, rng=rng, m_ref=100_000)
     assert rng.bit_generator.state == state
 
 
@@ -387,9 +389,9 @@ def test_rate_d2_slope_is_scale_invariant():
 def test_rate_d2_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(InputError):
-        rate_d2_empirical(NoiseSpec(), (100,), trials=1, rng=rng)
+        rate_d2_empirical(NoiseSpec(), (100,), trials=1, rng=rng, m_ref=100_000)
     with pytest.raises(InputError):
-        rate_d2_empirical(NoiseSpec(), (100, 200), trials=0, rng=rng)
+        rate_d2_empirical(NoiseSpec(), (100, 200), trials=0, rng=rng, m_ref=100_000)
 
 
 # ---------------------------------------------------------------------------
